@@ -11,7 +11,9 @@
 //  * FFT sizes used by the WF comparator (720 and 1950 are not powers of
 //    two → Bluestein);
 //  * parallel scaling: MET/MER WN/WA sweeps and Affinity::Build at 1, 2,
-//    4, and hardware_concurrency threads over the (scaled) stock dataset.
+//    4, and hardware_concurrency threads over the (scaled) stock dataset;
+//  * SCAPE top-k on the live index over the paper-scale stock dataset
+//    (BM_ScapeTopK: ms per query and entries examined).
 //
 // Perf trajectory: run with
 //   bench_micro --benchmark_format=json --benchmark_out=micro.json
@@ -27,6 +29,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -687,6 +690,52 @@ void BM_AffinityBuild(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_AffinityBuild)->Apply(ThreadArgs);
+
+// --- SCAPE top-k on the live index (DESIGN.md §5) --------------------------
+//
+// The paper-scale stock dataset (996 × 1950, Table 3): ~6k pair pivots and
+// ~0.5M indexed entries, where the D-measure bound ‖α‖ξ/Umin is loose and
+// the bounded scan must examine most of the index cheaply.
+
+const core::Affinity& StockPaperFramework() {
+  static const core::Affinity fw = [] {
+    ts::DatasetSpec spec;
+    spec.num_series = 996;
+    spec.num_samples = 1950;
+    spec.num_clusters = 10;
+    spec.noise_level = 0.015;
+    spec.seed = 1;
+    core::AffinityOptions options;
+    options.build_dft = false;
+    auto built = core::Affinity::Build(ts::MakeStockData(spec).matrix, options);
+    AFFINITY_CHECK(built.ok());
+    return std::move(built).value();
+  }();
+  return fw;
+}
+
+/// Args: measure (core::Measure value), k. Reports the entries the scan
+/// valued as `examined`.
+void BM_ScapeTopK(benchmark::State& state) {
+  const auto measure = static_cast<core::Measure>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const core::ScapeIndex& index = *StockPaperFramework().scape();
+  std::size_t examined = 0;
+  for (auto _ : state) {
+    auto result = index.TopK(measure, k, /*largest=*/true);
+    AFFINITY_CHECK(result.ok());
+    examined = result->examined;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["examined"] = static_cast<double>(examined);
+  state.SetLabel(std::string(core::MeasureName(measure)));
+}
+BENCHMARK(BM_ScapeTopK)
+    ->ArgsProduct({{static_cast<long>(core::Measure::kCorrelation),
+                    static_cast<long>(core::Measure::kCosine),
+                    static_cast<long>(core::Measure::kCovariance)},
+                   {10, 50}})
+    ->Unit(benchmark::kMillisecond);
 
 // --- Append hot-path allocation accounting (DESIGN.md §9) ------------------
 

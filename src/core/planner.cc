@@ -124,7 +124,7 @@ PlanChoice QueryPlanner::PlanSelection(Measure measure, double selectivity, bool
     // k·n upper bound on pivots is folded into the constant.
     const double descent = static_cast<double>(n_) * std::log2(2.0 + entities);
     PlanChoice choice{QueryMethod::kScape, descent + emitted * kTreeStep,
-                      top_k ? "SCAPE: threshold-algorithm top-k over pivot trees"
+                      top_k ? "SCAPE: bound-pruned best-first top-k over pivot trees"
                             : "SCAPE: key-range scan per pivot, no per-entity computation"};
     return Shardify(std::move(choice), measure);
   }

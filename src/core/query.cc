@@ -499,7 +499,7 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
   method = plan.method;
   const bool quality_filter = request.min_quality > 0.0;
   if (quality_filter && method == QueryMethod::kScape) {
-    // The index's threshold algorithm pops a fixed k entries with no
+    // The index's bounded scan keeps a fixed k entries with no
     // notion of eligibility; restricting the competition to eligible
     // series needs the sweep (graceful degradation, DESIGN.md §12).
     method = model_ != nullptr ? QueryMethod::kAffine : QueryMethod::kNaive;
@@ -606,10 +606,10 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
   }
   const std::size_t cap = quality_filter ? std::min(request.k, eligible_total) : request.k;
   const std::size_t k = cap < all.size() ? cap : all.size();
-  const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-    return request.largest ? a.value > b.value : a.value < b.value;
+  const auto before = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
+    return TopKBefore(a, b, request.largest);
   };
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), better);
+  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), before);
   all.resize(k);
   TopKResult out;
   out.entries = std::move(all);

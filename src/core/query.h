@@ -234,7 +234,8 @@ class QueryEngine {
                                 QueryMethod method = QueryMethod::kAuto) const;
 
   /// Top-k query (extension). WN/WA evaluate all entities and select;
-  /// SCAPE runs the index-side threshold algorithm. Results are best-first.
+  /// SCAPE runs the index-side bounded scan. Results are best-first under
+  /// the canonical order (core::TopKBefore), so exact ties rank by id.
   StatusOr<TopKResult> TopK(const TopKRequest& request,
                             QueryMethod method = QueryMethod::kAuto) const;
 

@@ -98,13 +98,26 @@ struct ScapeTopKEntry {
   bool has_series() const { return series != kNoSeries; }
 };
 
-/// Result of a top-k query, ordered best-first.
+/// The canonical top-k order: true iff `a` ranks before `b`. A better value
+/// in the query direction (larger first when `largest`) ranks first; equal
+/// values break by ascending `series`, then ascending `pair`. Every top-k
+/// path — the index scan, the flat serving path, the WN/WA sweeps and the
+/// sharded gathers — ranks by this one order, so entries that tie exactly
+/// resolve the same way whatever the tree layout, scan order or sharding.
+inline bool TopKBefore(const ScapeTopKEntry& a, const ScapeTopKEntry& b, bool largest) {
+  if (a.value != b.value) return largest ? a.value > b.value : a.value < b.value;
+  if (a.series != b.series) return a.series < b.series;
+  return a.pair < b.pair;
+}
+
+/// Result of a top-k query, ordered best-first under TopKBefore.
 struct ScapeTopKResult {
   std::vector<ScapeTopKEntry> entries;
-  /// Entries whose exact value was computed. For T/L measures this equals
-  /// |entries| + the frontier overshoot; for D-measures it shows how few
-  /// normalizer divisions the threshold algorithm needed versus scanning
-  /// all indexed entries.
+  /// Entries whose exact value was computed. For T/L measures this is
+  /// |entries| plus every entry the scan met before its bound fell below
+  /// the k-th best value (so it may exceed k); for D-measures it shows how
+  /// few normalizer divisions the bounded scan needed versus scanning all
+  /// indexed entries. Degenerate side-list entries always count.
   std::size_t examined = 0;
 };
 
@@ -148,9 +161,8 @@ struct ScapeDeltaLog {
 
 /// K-way heap merge of best-first top-k runs (the gather half of a
 /// scatter-gather top-k, DESIGN.md §9): each run must already be ordered
-/// best-first under `largest`; the merged result is the global best `k`
-/// entries. Ties in value break by (series, pair) so the merged order is
-/// deterministic regardless of how entries were distributed over runs.
+/// best-first under TopKBefore; the merged result is the global best `k`
+/// entries in that order, whatever the distribution of entries over runs.
 /// `examined` counts are summed.
 ScapeTopKResult MergeTopK(const std::vector<ScapeTopKResult>& runs, std::size_t k, bool largest);
 
@@ -216,11 +228,17 @@ class ScapeIndex {
   /// Top-k query (extension): the k entities with the largest (or smallest)
   /// value of `measure`, best-first.
   ///
-  /// T- and L-measures stream each pivot tree in key order and k-way-merge
-  /// (exact, no recomputation). D-measures use a Fagin-style threshold
-  /// algorithm: per pivot, the frontier key ξ and the normalizer bounds
-  /// [Umin, Umax] yield an upper bound on every remaining value, so the
-  /// scan stops as soon as k verified values dominate all bounds.
+  /// A pivot-ordered bounded scan (DESIGN.md §14): every (pivot, family)
+  /// tree's head entry bounds the whole tree — exactly ‖α‖ξ for T- and
+  /// L-measures; for D-measures ‖α‖ξ/Umin where that value, signed in the
+  /// query direction, is ≥ 0, and ‖α‖ξ/Umax where it is negative.
+  /// Trees are visited in descending head bound and walked best-first,
+  /// each walk stopping at the first entry whose bound is below θ, the
+  /// k-th best value so far; the first tree whose head bound is below θ
+  /// ends the query. Degenerate side-list entries are offered directly.
+  /// Ties rank by TopKBefore, so the answer does not depend on tree layout.
+  /// Any k is valid: a k above the entry count (up to SIZE_MAX) returns
+  /// every entry, and no allocation is sized by k.
   /// Unimplemented for Jaccard/Dice (as with MET/MER).
   StatusOr<ScapeTopKResult> TopK(Measure measure, std::size_t k, bool largest = true) const;
 

@@ -8,14 +8,17 @@
 //     because U_e ∈ [Umin, Umax]:  for ξ ≥ 0, value ≤ ‖α‖·ξ/Umin; for
 //     ξ < 0, value ≤ ‖α‖·ξ/Umax (and symmetrically for lower bounds).
 //
-// So each (pivot, tree) is a stream whose frontier carries an upper bound
-// on everything it has not yet produced — exactly the setting of Fagin's
-// threshold algorithm. We pop the stream with the best bound, verify its
-// frontier entry with the stored exact normalizer, and stop when the k-th
-// best verified value dominates every remaining bound.
+// So the bound of a tree's best-first frontier never grows as the walk
+// advances, and the bound of its head entry caps the whole tree. The scan
+// computes every tree's head bound once, visits the trees in descending
+// head bound, and walks each one best-first until an entry's bound drops
+// below θ, the k-th best value held so far. The first tree whose head bound
+// is already below θ ends the query: no later tree can hold a better entry.
+// Entries whose bound equals θ are still examined, so an entry that ties
+// the k-th value competes under the canonical order (TopKBefore) and the
+// answer never depends on tree layout or visiting order.
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -28,39 +31,105 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// A candidate kept in the working heap (value already exact).
-struct Candidate {
-  double value;
-  ScapeTopKEntry entry;
-};
-
-/// Orders the working heap so the *worst* kept candidate is on top
-/// (min-heap in the transformed "bigger is better" space).
-struct WorseCandidate {
-  bool operator()(const Candidate& a, const Candidate& b) const { return a.value > b.value; }
-};
-
-/// A stream over one pivot tree (plus its degenerate side list).
-///
-/// All values are transformed so that "larger is better" regardless of the
-/// query direction: for `largest` queries the transform is the identity and
-/// streams walk trees in descending ξ; for `smallest` queries values are
-/// negated and streams walk ascending ξ.
-class Stream {
+/// The k best entries offered so far under the canonical order, kept as a
+/// fixed-size heap. The heap's "less" is TopKBefore, so its top is the
+/// worst kept entry.
+class BestK {
  public:
-  virtual ~Stream() = default;
-  /// Upper bound (in transformed space) on every entry this stream has not
-  /// yet produced; -inf when exhausted.
-  virtual double Bound() const = 0;
-  /// Produces the frontier entry (exact transformed value) and advances.
-  virtual Candidate Take() = 0;
-  virtual bool Exhausted() const = 0;
+  /// `k` may exceed the population (up to SIZE_MAX): the heap then simply
+  /// keeps every entry offered, so nothing is reserved up front.
+  BestK(std::size_t k, bool largest) : k_(k), sign_(largest ? 1.0 : -1.0), before_{largest} {}
+
+  /// θ in the "larger is better" space of the scan's bounds: the k-th best
+  /// value times the query sign, or -inf while fewer than k are held.
+  double Threshold() const { return heap_.size() < k_ ? -kInf : sign_ * heap_.front().value; }
+
+  void Offer(const ScapeTopKEntry& entry) {
+    if (heap_.size() < k_) {
+      heap_.push_back(entry);
+      std::push_heap(heap_.begin(), heap_.end(), before_);
+      return;
+    }
+    if (!before_(entry, heap_.front())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), before_);
+    heap_.back() = entry;
+    std::push_heap(heap_.begin(), heap_.end(), before_);
+  }
+
+  /// The kept entries, best-first.
+  std::vector<ScapeTopKEntry> TakeSorted() {
+    std::sort_heap(heap_.begin(), heap_.end(), before_);
+    return std::move(heap_);
+  }
+
+ private:
+  struct Before {
+    bool largest;
+    bool operator()(const ScapeTopKEntry& a, const ScapeTopKEntry& b) const {
+      return TopKBefore(a, b, largest);
+    }
+  };
+
+  std::size_t k_;
+  double sign_;
+  Before before_;
+  std::vector<ScapeTopKEntry> heap_;
 };
 
-/// Orders the stream heap so the best bound is popped first.
-struct WorseBound {
-  bool operator()(const Stream* a, const Stream* b) const { return a->Bound() < b->Bound(); }
-};
+/// Applies `fn(key, value)` to the entries of `tree` best-first (descending
+/// key for `largest`, ascending otherwise) until `fn` returns false.
+template <typename V, typename Fn>
+void WalkBestFirst(const btree::BPlusTree<V>& tree, bool largest, Fn&& fn) {
+  if (largest) {
+    for (auto it = tree.rbegin(); it != tree.rend(); ++it) {
+      if (!fn(it.key(), it.value())) return;
+    }
+  } else {
+    for (auto it = tree.begin(); it != tree.end(); ++it) {
+      if (!fn(it.key(), it.value())) return;
+    }
+  }
+}
+
+/// Head key of a non-empty tree in walk order.
+template <typename V>
+double HeadKey(const btree::BPlusTree<V>& tree, bool largest) {
+  return largest ? tree.rbegin().key() : tree.begin().key();
+}
+
+/// Visits `trees` in descending head bound and walks each best-first,
+/// offering its entries to `best` until an entry's bound drops below θ; the
+/// first tree whose head bound is already below θ ends the scan.
+/// `bound(tree, key)` is the best transformed value of an entry keyed `key`
+/// (its exact value for T- and L-measures) and `make_entry(tree, key,
+/// value)` builds the entry offered. Equal head bounds keep the order of
+/// `trees`, so the visiting order (and with it `examined`) is deterministic.
+template <typename Tree, typename BoundFn, typename MakeEntryFn>
+void ScanTrees(const std::vector<const Tree*>& trees, bool largest, BoundFn&& bound,
+               MakeEntryFn&& make_entry, BestK* best, std::size_t* examined) {
+  struct Head {
+    double bound;
+    std::size_t order;
+  };
+  std::vector<Head> heads;
+  heads.reserve(trees.size());
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    heads.push_back({bound(*trees[i], HeadKey(trees[i]->tree, largest)), i});
+  }
+  std::sort(heads.begin(), heads.end(), [](const Head& a, const Head& b) {
+    return a.bound != b.bound ? a.bound > b.bound : a.order < b.order;
+  });
+  for (const Head& head : heads) {
+    if (head.bound < best->Threshold()) return;
+    const Tree& t = *trees[head.order];
+    WalkBestFirst(t.tree, largest, [&](double key, const auto& value) {
+      if (bound(t, key) < best->Threshold()) return false;
+      ++*examined;
+      best->Offer(make_entry(t, key, value));
+      return true;
+    });
+  }
+}
 
 }  // namespace
 
@@ -75,185 +144,57 @@ StatusOr<ScapeTopKResult> ScapeIndex::TopK(Measure measure, std::size_t k, bool 
   const bool derived = IsDerived(measure);
   const double sign = largest ? 1.0 : -1.0;
 
-  // --- Stream implementations (local classes capture the query context). --
-
-  /// Pair-tree stream: walks the B-tree best-key-first.
-  class PairTreeStream final : public Stream {
-   public:
-    PairTreeStream(const PairTree* pt, bool largest, bool derived, double sign)
-        : pt_(pt), largest_(largest), derived_(derived), sign_(sign) {
-      if (largest_) {
-        rit_ = pt_->tree.rbegin();
-      } else {
-        fit_ = pt_->tree.begin();
-      }
-    }
-
-    bool Exhausted() const override {
-      return largest_ ? rit_ == pt_->tree.rend() : fit_ == pt_->tree.end();
-    }
-
-    double Bound() const override {
-      if (Exhausted()) return -kInf;
-      const double xi = largest_ ? rit_.key() : fit_.key();
-      if (!derived_) return sign_ * pt_->norm * xi;
-      // Best possible transformed value of any remaining entry.
-      const double scaled = sign_ * pt_->norm * xi;
-      return scaled >= 0 ? scaled / pt_->u_min : scaled / pt_->u_max;
-    }
-
-    Candidate Take() override {
-      const SeqEntry& s = largest_ ? rit_.value() : fit_.value();
-      const double xi = largest_ ? rit_.key() : fit_.key();
-      Candidate c;
-      c.entry.pair = s.e;
-      const double raw = derived_ ? pt_->norm * xi / s.u : pt_->norm * xi;
-      c.entry.value = raw;
-      c.value = sign_ * raw;
-      if (largest_) {
-        ++rit_;
-      } else {
-        ++fit_;
-      }
-      return c;
-    }
-
-   private:
-    const PairTree* pt_;
-    bool largest_;
-    bool derived_;
-    double sign_;
-    btree::BPlusTree<SeqEntry>::ConstReverseIterator rit_;
-    btree::BPlusTree<SeqEntry>::ConstIterator fit_;
-  };
-
-  /// Degenerate side-list stream: values pre-computed and sorted.
-  class VectorStream final : public Stream {
-   public:
-    VectorStream(std::vector<Candidate> sorted_desc) : items_(std::move(sorted_desc)) {}
-    bool Exhausted() const override { return idx_ >= items_.size(); }
-    double Bound() const override { return Exhausted() ? -kInf : items_[idx_].value; }
-    Candidate Take() override { return items_[idx_++]; }
-
-   private:
-    std::vector<Candidate> items_;
-    std::size_t idx_ = 0;
-  };
-
-  /// Location-tree stream (always exact).
-  class LocTreeStream final : public Stream {
-   public:
-    LocTreeStream(const LocTree* lt, bool largest, double sign)
-        : lt_(lt), largest_(largest), sign_(sign) {
-      if (largest_) {
-        rit_ = lt_->tree.rbegin();
-      } else {
-        fit_ = lt_->tree.begin();
-      }
-    }
-    bool Exhausted() const override {
-      return largest_ ? rit_ == lt_->tree.rend() : fit_ == lt_->tree.end();
-    }
-    double Bound() const override {
-      if (Exhausted()) return -kInf;
-      return sign_ * lt_->norm * (largest_ ? rit_.key() : fit_.key());
-    }
-    Candidate Take() override {
-      Candidate c;
-      c.entry.series = largest_ ? rit_.value() : fit_.value();
-      const double raw = lt_->norm * (largest_ ? rit_.key() : fit_.key());
-      c.entry.value = raw;
-      c.value = sign_ * raw;
-      if (largest_) {
-        ++rit_;
-      } else {
-        ++fit_;
-      }
-      return c;
-    }
-
-   private:
-    const LocTree* lt_;
-    bool largest_;
-    double sign_;
-    btree::BPlusTree<ts::SeriesId>::ConstReverseIterator rit_;
-    btree::BPlusTree<ts::SeriesId>::ConstIterator fit_;
-  };
-
-  // --- Assemble the streams. ------------------------------------------------
-
-  std::vector<std::unique_ptr<Stream>> streams;
-  if (loc_family >= 0) {
-    for (const LocPivotNode& node : loc_pivots_) {
-      const LocTree& lt = node.trees[static_cast<std::size_t>(loc_family)];
-      if (lt.tree.size() > 0) {
-        streams.push_back(std::make_unique<LocTreeStream>(&lt, largest, sign));
-      }
-    }
-  } else {
-    for (const PairPivotNode& node : pair_pivots_) {
-      const PairTree& pt = node.trees[static_cast<std::size_t>(pair_family)];
-      if (pt.norm > 0.0 && pt.tree.size() > 0) {
-        streams.push_back(std::make_unique<PairTreeStream>(&pt, largest, derived, sign));
-      }
-      if (!pt.degenerate.empty()) {
-        std::vector<Candidate> items;
-        items.reserve(pt.degenerate.size());
-        for (const SeqEntry& s : pt.degenerate) {
-          // Degenerate pivot (norm 0) or zero normalizer: T-value ‖α‖ξ,
-          // D-value defined 0.
-          const double raw = derived ? 0.0 : pt.norm * s.xi;
-          Candidate c;
-          c.entry.pair = s.e;
-          c.entry.value = raw;
-          c.value = sign * raw;
-          items.push_back(c);
-        }
-        std::sort(items.begin(), items.end(),
-                  [](const Candidate& a, const Candidate& b) { return a.value > b.value; });
-        streams.push_back(std::make_unique<VectorStream>(std::move(items)));
-      }
-    }
-  }
-
-  // --- Threshold-algorithm main loop. ---------------------------------------
-
-  std::priority_queue<Stream*, std::vector<Stream*>, WorseBound> frontier;
-  for (const auto& s : streams) {
-    if (!s->Exhausted()) frontier.push(s.get());
-  }
-
-  std::priority_queue<Candidate, std::vector<Candidate>, WorseCandidate> best;  // worst on top
   ScapeTopKResult result;
-  while (!frontier.empty()) {
-    Stream* s = frontier.top();
-    const double bound = s->Bound();
-    if (best.size() == k && best.top().value >= bound) break;  // TA stop condition
-    frontier.pop();
-    best.push(s->Take());
-    ++result.examined;
-    if (best.size() > k) best.pop();
-    if (!s->Exhausted()) frontier.push(s);
+  BestK best(k, largest);
+
+  if (loc_family >= 0) {
+    const auto family = static_cast<std::size_t>(loc_family);
+    std::vector<const LocTree*> trees;
+    trees.reserve(loc_pivots_.size());
+    for (const LocPivotNode& node : loc_pivots_) {
+      if (!node.trees[family].tree.empty()) trees.push_back(&node.trees[family]);
+    }
+    ScanTrees(
+        trees, largest, [&](const LocTree& lt, double xi) { return sign * lt.norm * xi; },
+        [](const LocTree& lt, double xi, ts::SeriesId v) {
+          return ScapeTopKEntry{ts::SequencePair{}, v, lt.norm * xi};
+        },
+        &best, &result.examined);
+    result.entries = best.TakeSorted();
+    return result;
   }
 
-  result.entries.resize(best.size());
-  for (std::size_t i = best.size(); i-- > 0;) {
-    result.entries[i] = best.top().entry;
-    best.pop();
+  const auto family = static_cast<std::size_t>(pair_family);
+  std::vector<const PairTree*> trees;
+  trees.reserve(pair_pivots_.size());
+  for (const PairPivotNode& node : pair_pivots_) {
+    const PairTree& pt = node.trees[family];
+    // Degenerate pivot (norm 0) or zero normalizer: T-value ‖α‖ξ, D-value
+    // defined 0. The side list is unordered, so each entry is offered.
+    for (const SeqEntry& s : pt.degenerate) {
+      ++result.examined;
+      best.Offer(ScapeTopKEntry{s.e, kNoSeries, derived ? 0.0 : pt.norm * s.xi});
+    }
+    if (pt.norm > 0.0 && !pt.tree.empty()) trees.push_back(&pt);
   }
+  ScanTrees(
+      trees, largest,
+      [&](const PairTree& pt, double xi) {
+        const double scaled = sign * pt.norm * xi;
+        if (!derived) return scaled;
+        return scaled >= 0 ? scaled / pt.u_min : scaled / pt.u_max;
+      },
+      [&](const PairTree& pt, double xi, const SeqEntry& s) {
+        const double raw = derived ? pt.norm * xi / s.u : pt.norm * xi;
+        return ScapeTopKEntry{s.e, kNoSeries, raw};
+      },
+      &best, &result.examined);
+  result.entries = best.TakeSorted();
   return result;
 }
 
 ScapeTopKResult MergeTopK(const std::vector<ScapeTopKResult>& runs, std::size_t k,
                           bool largest) {
-  // "a better than b" in the query direction, with a deterministic
-  // (series, pair) tiebreak so merged order never depends on run layout.
-  const auto better = [largest](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-    if (a.value != b.value) return largest ? a.value > b.value : a.value < b.value;
-    if (a.series != b.series) return a.series < b.series;
-    return a.pair < b.pair;
-  };
-
   // Frontier heap over run heads: each run is already best-first, so the
   // globally best unmerged entry is always some run's head.
   struct Head {
@@ -262,14 +203,16 @@ ScapeTopKResult MergeTopK(const std::vector<ScapeTopKResult>& runs, std::size_t 
   };
   ScapeTopKResult out;
   const auto worse_head = [&](const Head& a, const Head& b) {
-    return better(runs[b.run].entries[b.pos], runs[a.run].entries[a.pos]);
+    return TopKBefore(runs[b.run].entries[b.pos], runs[a.run].entries[a.pos], largest);
   };
   std::priority_queue<Head, std::vector<Head>, decltype(worse_head)> frontier(worse_head);
+  std::size_t available = 0;
   for (std::size_t r = 0; r < runs.size(); ++r) {
     out.examined += runs[r].examined;
+    available += runs[r].entries.size();
     if (!runs[r].entries.empty()) frontier.push(Head{r, 0});
   }
-  out.entries.reserve(k);
+  out.entries.reserve(std::min(k, available));
   while (out.entries.size() < k && !frontier.empty()) {
     const Head head = frontier.top();
     frontier.pop();

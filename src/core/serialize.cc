@@ -1,5 +1,6 @@
 #include "core/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -11,6 +12,13 @@ namespace affinity::core {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'F', 'F', 'M'};
+
+/// Serialized record sizes: pivot (series, cluster, side flag), affHash
+/// record (key, pivot, six transform coefficients), pivotHash record (key,
+/// pivot, fourteen measures and the sample count).
+constexpr std::size_t kPivotBytes = 4 + 4 + 1;
+constexpr std::size_t kRelationshipBytes = 8 + kPivotBytes + 6 * 8;
+constexpr std::size_t kPivotRecordBytes = 8 + kPivotBytes + 14 * 8 + 8;
 
 /// Buffered little-endian-naive binary writer.
 class Writer {
@@ -43,7 +51,20 @@ class Writer {
 /// Binary reader with truncation checks; any failure poisons the stream.
 class Reader {
  public:
-  explicit Reader(std::istream* in) : in_(in) {}
+  /// When the stream can report its length (files and string streams can),
+  /// the unread byte count bounds every count the payload declares.
+  explicit Reader(std::istream* in) : in_(in) {
+    const std::streampos here = in->tellg();
+    if (here == std::streampos(-1)) return;
+    if (in->seekg(0, std::ios::end)) {
+      const std::streampos end = in->tellg();
+      if (end != std::streampos(-1) && end >= here) {
+        remaining_ = static_cast<std::uint64_t>(end - here);
+      }
+    }
+    in->clear();
+    in->seekg(here);
+  }
 
   std::uint32_t U32() {
     std::uint32_t v = 0;
@@ -59,6 +80,18 @@ class Reader {
     const std::uint64_t v = U64();
     if (v > sanity_max) fail_ = true;
     return fail_ ? 0 : static_cast<std::size_t>(v);
+  }
+  /// A declared count of `item_bytes`-sized records that must still fit in
+  /// the unread payload, so a corrupt count cannot size an allocation.
+  std::size_t Count(std::size_t sanity_max, std::size_t item_bytes) {
+    const std::size_t v = Size(sanity_max);
+    return Holds(v, item_bytes) ? v : 0;
+  }
+  /// False (and the stream poisoned) unless `count` items of `item_bytes`
+  /// each can still be read.
+  bool Holds(std::uint64_t count, std::size_t item_bytes) {
+    if (count > remaining_ / item_bytes) fail_ = true;
+    return !fail_;
   }
   double F64() {
     double v = 0;
@@ -86,8 +119,10 @@ class Reader {
     if (fail_) return;
     in_->read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
     if (in_->gcount() != static_cast<std::streamsize>(bytes)) fail_ = true;
+    remaining_ -= std::min<std::uint64_t>(remaining_, bytes);
   }
   std::istream* in_;
+  std::uint64_t remaining_ = ~std::uint64_t{0};  ///< unread bytes, when known
   bool fail_ = false;
 };
 
@@ -100,7 +135,9 @@ void WriteMatrix(Writer* w, const la::Matrix& mat) {
 la::Matrix ReadMatrix(Reader* r) {
   const std::size_t rows = r->Size(1u << 28);
   const std::size_t cols = r->Size(1u << 28);
-  if (!r->ok()) return la::Matrix();
+  if (!r->ok() || !r->Holds(static_cast<std::uint64_t>(rows) * cols, sizeof(double))) {
+    return la::Matrix();
+  }
   la::Matrix mat(rows, cols);
   for (std::size_t j = 0; j < cols; ++j) r->F64Span(mat.ColData(j), rows);
   return mat;
@@ -268,7 +305,7 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
   AffinityModel model;
 
   la::Matrix values = ReadMatrix(&r);
-  const std::size_t name_count = r.Size(1u << 28);
+  const std::size_t name_count = r.Count(1u << 28, sizeof(std::uint64_t));
   if (!r.ok() || name_count != values.cols()) {
     return Status::InvalidArgument("corrupt data-matrix section");
   }
@@ -283,19 +320,38 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
   model.data_.set_anchor_row(anchor);
 
   model.clustering_.centers = ReadMatrix(&r);
-  const std::size_t assign_count = r.Size(1u << 28);
+  const std::size_t assign_count = r.Count(1u << 28, sizeof(std::uint32_t));
   model.clustering_.assignment.resize(assign_count);
   for (auto& a : model.clustering_.assignment) a = static_cast<int>(r.U32());
   model.clustering_.iterations = static_cast<int>(r.U32());
-  const std::size_t proj_count = r.Size(1u << 28);
+  const std::size_t proj_count = r.Count(1u << 28, sizeof(double));
   model.clustering_.projection_errors.resize(proj_count);
   r.F64Span(model.clustering_.projection_errors.data(), proj_count);
   if (!r.ok() || assign_count != model.data_.n()) {
     return Status::InvalidArgument("corrupt clustering section");
   }
+  // Every id a later stage indexes by is checked against the sections it
+  // names, so a corrupt payload is rejected here rather than reaching an
+  // internal check or an out-of-bounds access in index construction.
+  const std::size_t n = model.data_.n();
+  const std::size_t clusters = model.clustering_.k();
+  for (const int a : model.clustering_.assignment) {
+    if (a < 0 || static_cast<std::size_t>(a) >= clusters) {
+      return Status::InvalidArgument("clustering assigns a series to cluster " +
+                                     std::to_string(a) + " of " + std::to_string(clusters));
+    }
+  }
+  const auto pivot_in_range = [&](const PivotPair& p) {
+    return p.series < n && p.cluster < clusters;
+  };
 
-  const std::size_t rel_count = r.Size(1u << 30);
+  // At most one relationship per sequence pair and one pivot per (series,
+  // cluster, side): larger counts are corrupt, and must not size a reserve.
+  const std::size_t rel_count = r.Count(ts::SequencePairCount(n), kRelationshipBytes);
   model.aff_hash_.reserve(rel_count);
+  // Each relationship's pivot key in stream order, checked against
+  // pivotHash once that section is read.
+  std::vector<std::uint64_t> rel_pivot_keys;
   for (std::size_t i = 0; i < rel_count && r.ok(); ++i) {
     const std::uint64_t key = r.U64();
     AffineRecord rec;
@@ -306,20 +362,32 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
     rec.transform.a22 = r.F64();
     rec.transform.b1 = r.F64();
     rec.transform.b2 = r.F64();
+    const auto u = static_cast<std::uint32_t>(key >> 32);
+    const auto v = static_cast<std::uint32_t>(key);
+    if (r.ok() && (u >= v || v >= n || !pivot_in_range(rec.pivot))) {
+      return Status::InvalidArgument("relationship " + std::to_string(i) +
+                                     " names a series id out of range (n=" +
+                                     std::to_string(n) + ")");
+    }
+    rel_pivot_keys.push_back(rec.pivot.Key());
     model.aff_hash_.emplace(key, rec);
   }
 
-  const std::size_t pivot_count = r.Size(1u << 30);
+  const std::size_t pivot_count = r.Count(2 * n * clusters, kPivotRecordBytes);
   model.pivot_hash_.reserve(pivot_count);
   for (std::size_t i = 0; i < pivot_count && r.ok(); ++i) {
     const std::uint64_t key = r.U64();
     PivotHashEntry entry;
     entry.pivot = ReadPivot(&r);
     entry.measures = ReadMeasures(&r);
+    if (r.ok() && (!pivot_in_range(entry.pivot) || entry.pivot.Key() != key)) {
+      return Status::InvalidArgument("pivot " + std::to_string(i) +
+                                     " names a series or cluster out of range");
+    }
     model.pivot_hash_.emplace(key, entry);
   }
 
-  const std::size_t stats_count = r.Size(1u << 28);
+  const std::size_t stats_count = r.Count(1u << 28, 4 * sizeof(double));
   model.series_stats_.resize(stats_count);
   for (auto& st : model.series_stats_) {
     st.mean = r.F64();
@@ -327,7 +395,7 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
     st.sumsq = r.F64();
     st.sum = r.F64();
   }
-  const std::size_t affine_count = r.Size(1u << 28);
+  const std::size_t affine_count = r.Count(1u << 28, 2 * sizeof(double));
   model.series_affine_.resize(affine_count);
   for (auto& sa : model.series_affine_) {
     sa.gain = r.F64();
@@ -339,11 +407,14 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
 
   const std::size_t loc_rows = r.Size(16);
   model.center_loc_.resize(loc_rows);
+  bool loc_shape_ok = loc_rows == 3;
   for (auto& row : model.center_loc_) {
-    const std::size_t cols = r.Size(1u << 28);
+    const std::size_t cols = r.Count(1u << 28, sizeof(double));
     row.resize(cols);
     r.F64Span(row.data(), cols);
+    loc_shape_ok = loc_shape_ok && cols == clusters;
   }
+  if (r.ok() && !loc_shape_ok) return Status::InvalidArgument("corrupt centre-location section");
 
   model.stats_.relationships = r.Size(1u << 30);
   model.stats_.pivots = r.Size(1u << 30);
@@ -357,6 +428,12 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
   if (model.stats_.relationships != model.aff_hash_.size() ||
       model.stats_.pivots != model.pivot_hash_.size()) {
     return Status::InvalidArgument("inconsistent section counts");
+  }
+  for (std::size_t i = 0; i < rel_pivot_keys.size(); ++i) {
+    if (model.pivot_hash_.find(rel_pivot_keys[i]) == model.pivot_hash_.end()) {
+      return Status::InvalidArgument("relationship " + std::to_string(i) +
+                                     " names a pivot absent from pivotHash");
+    }
   }
   return model;
 }

@@ -531,10 +531,10 @@ StatusOr<TopKResult> StreamingAffinity::BlendedTopK(const TopKRequest& request) 
         }));
   }
   const std::size_t k = request.k < all.size() ? request.k : all.size();
-  const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-    return request.largest ? a.value > b.value : a.value < b.value;
+  const auto before = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
+    return TopKBefore(a, b, request.largest);
   };
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), better);
+  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), before);
   all.resize(k);
   TopKResult out;
   out.entries = std::move(all);

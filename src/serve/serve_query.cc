@@ -431,18 +431,16 @@ StatusOr<ScapeQueryResult> FlatMeasureRange(const ServingSnapshot& snap, Measure
 }
 
 // ---------------------------------------------------------------------------
-// Flat top-k: the threshold algorithm of scape_topk.cc over array streams.
-// Stream construction order, bound formulas, heap disciplines, and the TA
-// stop condition are identical, so the produced entries match exactly.
+// Flat top-k: a Fagin-style threshold algorithm over array streams. The
+// bound formulas and the per-entry value expressions are those of the
+// index scan in scape_topk.cc, the kept entries rank by core::TopKBefore,
+// and the stop is strict (entries whose bound equals θ still compete), so
+// the produced entries match the live index exactly, ties included.
 // ---------------------------------------------------------------------------
 
 struct Candidate {
   double value;
   ScapeTopKEntry entry;
-};
-
-struct WorseCandidate {
-  bool operator()(const Candidate& a, const Candidate& b) const { return a.value > b.value; }
 };
 
 class Stream {
@@ -606,14 +604,18 @@ StatusOr<ScapeTopKResult> FlatTopK(const ServingSnapshot& snap, Measure measure,
     if (!s->Exhausted()) frontier.push(s.get());
   }
 
-  std::priority_queue<Candidate, std::vector<Candidate>, WorseCandidate> best;
+  // Worst kept entry on top under the canonical order.
+  const auto before = [largest](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
+    return core::TopKBefore(a, b, largest);
+  };
+  std::priority_queue<ScapeTopKEntry, std::vector<ScapeTopKEntry>, decltype(before)> best(before);
   ScapeTopKResult result;
   while (!frontier.empty()) {
     Stream* s = frontier.top();
     const double bound = s->Bound();
-    if (best.size() == k && best.top().value >= bound) break;
+    if (best.size() == k && sign * best.top().value > bound) break;
     frontier.pop();
-    best.push(s->Take());
+    best.push(s->Take().entry);
     ++result.examined;
     if (best.size() > k) best.pop();
     if (!s->Exhausted()) frontier.push(s);
@@ -621,7 +623,7 @@ StatusOr<ScapeTopKResult> FlatTopK(const ServingSnapshot& snap, Measure measure,
 
   result.entries.resize(best.size());
   for (std::size_t i = best.size(); i-- > 0;) {
-    result.entries[i] = best.top().entry;
+    result.entries[i] = best.top();
     best.pop();
   }
   return result;
@@ -815,10 +817,10 @@ StatusOr<core::TopKResult> SnapshotTopK(const ServingSnapshot& snap,
     }
   }
   const std::size_t k = request.k < all.size() ? request.k : all.size();
-  const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-    return request.largest ? a.value > b.value : a.value < b.value;
+  const auto before = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
+    return core::TopKBefore(a, b, request.largest);
   };
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), better);
+  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), before);
   all.resize(k);
   core::TopKResult out;
   out.entries = std::move(all);

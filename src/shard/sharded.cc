@@ -700,12 +700,12 @@ StatusOr<ShardedTopK> ShardedAffinity::TopK(const core::TopKRequest& request,
       cross_run.entries.push_back(ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
     }
     const std::size_t k = std::min(request.k, cross_run.entries.size());
-    const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-      return request.largest ? a.value > b.value : a.value < b.value;
+    const auto before = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
+      return core::TopKBefore(a, b, request.largest);
     };
     std::partial_sort(cross_run.entries.begin(),
                       cross_run.entries.begin() + static_cast<long>(k), cross_run.entries.end(),
-                      better);
+                      before);
     cross_run.entries.resize(k);
     cross_run.examined = cross.size();
     runs.push_back(std::move(cross_run));

@@ -7,9 +7,11 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/framework.h"
 #include "core/scape.h"
 #include "core/streaming.h"
@@ -269,6 +271,146 @@ TEST(Serialize, UnsupportedVersionRejected) {
   auto loaded = LoadModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+}
+
+/// Byte offsets of the v2 payload's relationship and pivot sections, found
+/// by walking the layout WriteModelStream emits.
+struct PayloadLayout {
+  std::size_t first_relationship = 0;  ///< first affHash record
+  std::size_t first_pivot = 0;         ///< first pivotHash record
+};
+
+constexpr std::size_t kPivotBytes = 4 + 4 + 1;                      // series, cluster, flag
+constexpr std::size_t kRelationshipBytes = 8 + kPivotBytes + 6 * 8;  // key, pivot, transform
+constexpr std::size_t kPivotRecordBytes = 8 + kPivotBytes + 14 * 8 + 8;  // key, pivot, measures
+
+PayloadLayout WalkPayload(const std::string& bytes) {
+  const auto u64_at = [&](std::size_t pos) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + pos, sizeof v);
+    return static_cast<std::size_t>(v);
+  };
+  std::size_t off = 8;                                       // magic, version
+  off += 16 + u64_at(off) * u64_at(off + 8) * sizeof(double);  // data matrix
+  const std::size_t name_count = u64_at(off);
+  off += 8;
+  for (std::size_t i = 0; i < name_count; ++i) off += 8 + u64_at(off);
+  off += 8;                                                  // anchor
+  off += 16 + u64_at(off) * u64_at(off + 8) * sizeof(double);  // centres
+  off += 8 + u64_at(off) * 4 + 4;                            // assignment, iterations
+  off += 8 + u64_at(off) * sizeof(double);                   // projection errors
+  PayloadLayout layout;
+  layout.first_relationship = off + 8;
+  layout.first_pivot = layout.first_relationship + u64_at(off) * kRelationshipBytes + 8;
+  return layout;
+}
+
+std::string ModelBytes(const AffinityModel& model) {
+  std::ostringstream out(std::ios::binary);
+  EXPECT_TRUE(WriteModelStream(model, out).ok());
+  return out.str();
+}
+
+Status ReadBytes(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return ReadModelStream(in).status();
+}
+
+// A corrupt checkpoint is rejected with a Status: the loader never hands
+// index construction a reference it would trip over.
+TEST(Serialize, DanglingPivotReferenceRejected) {
+  const AffinityModel model = BuildModel();
+  std::string bytes = ModelBytes(model);
+  ASSERT_TRUE(ReadBytes(bytes).ok());
+  const PayloadLayout layout = WalkPayload(bytes);
+  const std::size_t pivot_at = layout.first_relationship + 8;
+
+  PivotPair pivot;
+  std::memcpy(&pivot.series, bytes.data() + pivot_at, 4);
+  std::memcpy(&pivot.cluster, bytes.data() + pivot_at + 4, 4);
+  pivot.series_first = bytes[pivot_at + 8] != 0;
+  ASSERT_NE(model.FindPivotMeasures(pivot), nullptr);
+  // Re-point the first relationship at an in-range pivot that was never
+  // built.
+  bool found = false;
+  for (ts::SeriesId s = 0; s < model.data().n() && !found; ++s) {
+    PivotPair other = pivot;
+    other.series = s;
+    for (const bool first : {true, false}) {
+      other.series_first = first;
+      if (model.FindPivotMeasures(other) == nullptr) {
+        std::memcpy(bytes.data() + pivot_at, &other.series, 4);
+        bytes[pivot_at + 8] = first ? 1 : 0;
+        found = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  const Status status = ReadBytes(bytes);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("pivotHash"), std::string::npos) << status.ToString();
+}
+
+TEST(Serialize, OutOfRangeSeriesIdsRejected) {
+  const AffinityModel model = BuildModel();
+  const std::string bytes = ModelBytes(model);
+  const PayloadLayout layout = WalkPayload(bytes);
+  const auto n = static_cast<std::uint32_t>(model.data().n());
+  const auto expect_rejected = [&](std::size_t at, std::uint32_t value) {
+    std::string copy = bytes;
+    std::memcpy(copy.data() + at, &value, sizeof value);
+    const Status status = ReadBytes(copy);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("out of range"), std::string::npos) << status.ToString();
+  };
+  // Relationship key (low word = v, high word = u), then its pivot series.
+  expect_rejected(layout.first_relationship, n);
+  expect_rejected(layout.first_relationship + 4, n + 7);
+  expect_rejected(layout.first_relationship + 8, n);
+  // The first and the last pivotHash record's pivot series.
+  expect_rejected(layout.first_pivot + 8, n);
+  expect_rejected(layout.first_pivot + (model.pivot_count() - 1) * kPivotRecordBytes + 8, n + 1);
+}
+
+// A declared size may not allocate beyond the payload: a data-matrix
+// header claiming 2^28 × 2^28 doubles is refused before any allocation.
+TEST(Serialize, OversizedMatrixHeaderRejected) {
+  std::string bytes = ModelBytes(BuildModel());
+  const std::uint64_t huge = std::uint64_t{1} << 28;
+  std::memcpy(bytes.data() + 8, &huge, sizeof huge);   // rows
+  std::memcpy(bytes.data() + 16, &huge, sizeof huge);  // cols
+  EXPECT_EQ(ReadBytes(bytes).code(), StatusCode::kInvalidArgument);
+}
+
+// Random byte flips anywhere in the payload: every mutant either loads
+// into a working engine or is rejected with a Status — the process never
+// aborts or faults.
+TEST(Serialize, ByteFlippedPayloadsNeverCrash) {
+  const AffinityModel model = BuildModel();
+  const std::string bytes = ModelBytes(model);
+  AffinityOptions options;
+  options.build_dft = false;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed);
+    for (int trial = 0; trial < 40; ++trial) {
+      std::string mutant = bytes;
+      const std::uint64_t flips = 1 + rng.NextBounded(4);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        mutant[rng.NextBounded(mutant.size())] ^= static_cast<char>(1 + rng.NextBounded(255));
+      }
+      std::istringstream in(mutant, std::ios::binary);
+      auto loaded = ReadModelStream(in);
+      if (!loaded.ok()) {
+        ++rejected;
+        continue;
+      }
+      auto engine = Affinity::FromModel(std::move(loaded).value(), options);
+      if (!engine.ok()) ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Serialize, SaveToUnwritablePathFails) {

@@ -7,6 +7,7 @@
 #include "serve/serve_query.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -178,6 +179,73 @@ TEST(ServeSnapshot, MirrorsLiveEngineBitwise) {
       ASSERT_TRUE(live.ok());
       ASSERT_TRUE(served.ok());
       ExpectSameMec(*served, *live);
+    }
+  }
+}
+
+/// TestData with exact ties: series 9 copies series 3 (their L-measures
+/// tie exactly) and series 5 is constant zero (its pairs are degenerate
+/// side-list entries valued exactly 0 for every pair measure).
+ts::Dataset TiedTestData() {
+  ts::Dataset ds = TestData(12);
+  la::Matrix& values = ds.matrix.mutable_matrix();
+  for (std::size_t i = 0; i < values.rows(); ++i) {
+    values(i, 9) = values(i, 3);
+    values(i, 5) = 0.0;
+  }
+  return ds;
+}
+
+/// A k that cuts through an exact tie group of a best-first ranking: two
+/// entries into the zero-valued pairs, or between the duplicated series.
+std::size_t StraddlingK(const TopKResult& ranking, Measure measure) {
+  std::size_t rank = 0;
+  if (core::IsLocation(measure)) {
+    while (ranking.entries[rank].series != 3 && ranking.entries[rank].series != 9) ++rank;
+    return rank + 1;
+  }
+  while (ranking.entries[rank].value != 0.0) ++rank;
+  return rank + 2;
+}
+
+TEST(ServeSnapshot, TopKTiesMirrorLiveBitwise) {
+  const ts::Dataset ds = TiedTestData();
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    auto stream = StreamingAffinity::Create(Names(12), StreamOptions(threads));
+    ASSERT_TRUE(stream.ok());
+    // Three epochs: the first build, then two incremental refreshes.
+    for (const std::size_t rows : {std::size_t{40}, std::size_t{60}, std::size_t{80}}) {
+      FeedStream(&*stream, ds, rows == 40 ? 0 : rows - 20, rows);
+      auto snap = stream->serving();
+      ASSERT_NE(snap, nullptr);
+      ASSERT_EQ(snap->snapshot_row, rows);
+      const auto& engine = stream->framework()->engine();
+      for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kNaive, QueryMethod::kAffine,
+                                 QueryMethod::kScape}) {
+        for (Measure measure : {Measure::kCovariance, Measure::kDotProduct,
+                                Measure::kCorrelation, Measure::kCosine, Measure::kMean}) {
+          for (const bool largest : {true, false}) {
+            auto full = engine.TopK(TopKRequest{measure, 1000, largest}, method);
+            ASSERT_TRUE(full.ok());
+            // SIZE_MAX: every entity, with no allocation sized by k.
+            for (const std::size_t k :
+                 {std::size_t{10}, std::size_t{50}, StraddlingK(*full, measure),
+                  std::numeric_limits<std::size_t>::max()}) {
+              SCOPED_TRACE("threads=" + std::to_string(threads) + " rows=" +
+                           std::to_string(rows) + " method=" +
+                           std::string(core::QueryMethodName(method)) + " " +
+                           std::string(core::MeasureName(measure)) +
+                           (largest ? " largest" : " smallest") + " k=" + std::to_string(k));
+              const TopKRequest req{measure, k, largest};
+              auto live = engine.TopK(req, method);
+              auto served = serve::SnapshotTopK(*snap, req, method);
+              ASSERT_TRUE(live.ok());
+              ASSERT_TRUE(served.ok());
+              ExpectSameTopK(*served, *live);
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -4,10 +4,12 @@
 // the shard-manifest round-trip.
 
 #include "shard/sharded.h"
+#include "shard/shard_serve.h"
 
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -307,6 +309,85 @@ TEST(Sharded, AnswersMatchUnshardedBaseline) {
       // the scatter-gather and the kAuto dispatch still resolves.
       if (shards > 1) {
         EXPECT_NE(s_met->result.plan.rationale.find("scatter-gather"), std::string::npos);
+      }
+    }
+  }
+}
+
+/// TestData with exact ties: series 12 copies series 2 (they land in
+/// different shards at 2 and 8 shards) and series 6 is constant zero, so
+/// each of its pairs is valued exactly 0 on every path — per-shard index,
+/// per-shard sweep and cross-shard sweep alike.
+ts::Dataset TiedTestData() {
+  ts::Dataset ds = TestData();
+  la::Matrix& values = ds.matrix.mutable_matrix();
+  for (std::size_t i = 0; i < values.rows(); ++i) {
+    values(i, 12) = values(i, 2);
+    values(i, 6) = 0.0;
+  }
+  return ds;
+}
+
+TEST(Sharded, TiedTopKMatchesUnshardedBaseline) {
+  const ts::Dataset ds = TiedTestData();
+  auto baseline = core::StreamingAffinity::Create(ds.matrix.names(), SmallOptions(1).streaming);
+  ASSERT_TRUE(baseline.ok());
+  FeedStream(&*baseline, ds, 0, 120);
+  ASSERT_TRUE(baseline->ready());
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(shards));
+    ASSERT_TRUE(service.ok());
+    Feed(&*service, ds, 0, 120);
+    ASSERT_TRUE(service->ready());
+    for (Measure measure : {Measure::kCovariance, Measure::kDotProduct, Measure::kCorrelation,
+                            Measure::kCosine}) {
+      for (const bool largest : {true, false}) {
+        auto full = baseline->TopK(TopKRequest{measure, 1000, largest});
+        ASSERT_TRUE(full.ok());
+        // k reaching two entries into the exact zero-valued tie group.
+        std::size_t straddle = 0;
+        while (full->entries[straddle].value != 0.0) ++straddle;
+        straddle += 2;
+        // SIZE_MAX: every pair, with no allocation sized by k.
+        for (const std::size_t k : {std::size_t{10}, std::size_t{50}, straddle,
+                                    std::numeric_limits<std::size_t>::max()}) {
+          SCOPED_TRACE("shards=" + std::to_string(shards) + " " +
+                       std::string(core::MeasureName(measure)) +
+                       (largest ? " largest" : " smallest") + " k=" + std::to_string(k));
+          const TopKRequest req{measure, k, largest};
+          auto base = baseline->TopK(req);
+          auto sharded = service->TopK(req);
+          ASSERT_TRUE(base.ok());
+          ASSERT_TRUE(sharded.ok());
+          ASSERT_EQ(sharded->result.entries.size(), base->entries.size());
+          std::vector<ts::SequencePair> s_pairs;
+          std::vector<ts::SequencePair> b_pairs;
+          for (std::size_t i = 0; i < base->entries.size(); ++i) {
+            const core::ScapeTopKEntry& got = sharded->result.entries[i];
+            s_pairs.push_back(got.pair);
+            b_pairs.push_back(base->entries[i].pair);
+            // Per-shard propagation and the cross-shard sweep differ from
+            // the unsharded propagation by the affine fits' residue.
+            EXPECT_NEAR(got.value, base->entries[i].value,
+                        1e-7 * (1.0 + std::fabs(base->entries[i].value)))
+                << "rank " << i;
+            // Exact ties resolve by pair id on every path.
+            if (base->entries[i].value == 0.0) {
+              EXPECT_EQ(got.pair, base->entries[i].pair) << "rank " << i;
+              EXPECT_EQ(got.value, 0.0) << "rank " << i;
+            }
+          }
+          EXPECT_EQ(Sorted(s_pairs), Sorted(b_pairs));
+          // The lock-free router snapshot answers the same, bitwise.
+          auto routed = RouterTopK(*service->serving(), req);
+          ASSERT_TRUE(routed.ok());
+          ASSERT_EQ(routed->entries.size(), sharded->result.entries.size());
+          for (std::size_t i = 0; i < routed->entries.size(); ++i) {
+            EXPECT_EQ(routed->entries[i].pair, sharded->result.entries[i].pair) << "rank " << i;
+            EXPECT_EQ(routed->entries[i].value, sharded->result.entries[i].value) << "rank " << i;
+          }
+        }
       }
     }
   }

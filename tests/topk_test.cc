@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -111,9 +112,37 @@ TEST_F(TopKTest, KZeroIsEmpty) {
 }
 
 TEST_F(TopKTest, KLargerThanPopulationReturnsAll) {
-  auto result = framework_->scape()->TopK(Measure::kMean, 10000, true);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->entries.size(), framework_->data().n());
+  // Any k above the population is valid, SIZE_MAX included (the CLI turns
+  // "-1" into it): every path returns the whole population, ranked as a k
+  // of exactly the population.
+  for (Measure measure : {Measure::kCovariance, Measure::kDotProduct, Measure::kCorrelation,
+                          Measure::kCosine, Measure::kMean, Measure::kMedian, Measure::kMode}) {
+    const std::size_t population = IsLocation(measure)
+                                       ? framework_->data().n()
+                                       : ts::SequencePairCount(framework_->data().n());
+    for (const bool largest : {true, false}) {
+      auto exact = framework_->scape()->TopK(measure, population, largest);
+      ASSERT_TRUE(exact.ok());
+      for (const std::size_t k :
+           {std::size_t{10000}, std::numeric_limits<std::size_t>::max()}) {
+        SCOPED_TRACE(std::string(MeasureName(measure)) + (largest ? " largest" : " smallest") +
+                     " k=" + std::to_string(k));
+        auto all = framework_->scape()->TopK(measure, k, largest);
+        ASSERT_TRUE(all.ok());
+        ASSERT_EQ(all->entries.size(), population);
+        for (std::size_t i = 0; i < population; ++i) {
+          EXPECT_EQ(all->entries[i].pair, exact->entries[i].pair) << "rank " << i;
+          EXPECT_EQ(all->entries[i].series, exact->entries[i].series) << "rank " << i;
+          EXPECT_EQ(all->entries[i].value, exact->entries[i].value) << "rank " << i;
+        }
+        for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kAffine}) {
+          auto engine = framework_->engine().TopK(TopKRequest{measure, k, largest}, method);
+          ASSERT_TRUE(engine.ok());
+          EXPECT_EQ(engine->entries.size(), population);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(TopKTest, RejectsNonIndexableMeasures) {
@@ -227,6 +256,129 @@ TEST(MergeTopKFn, MergesBestFirstRunsWithDeterministicTies) {
   EXPECT_DOUBLE_EQ(small.entries[1].value, 2.0);
   EXPECT_DOUBLE_EQ(small.entries[2].value, 3.0);
 }
+
+// ---------------------------------------------------------------------------
+// Ties and degenerate entries. Column kDuplicate copies column kDuplicated,
+// so their L-measures tie exactly; column kConstant is constant zero, so
+// both D-measure normalizers of its pairs are 0 (degenerate side-list
+// entries) and every pair measure of it is exactly 0 on every path.
+// ---------------------------------------------------------------------------
+
+constexpr ts::SeriesId kDuplicated = 7;
+constexpr ts::SeriesId kDuplicate = 19;
+constexpr ts::SeriesId kConstant = 11;
+
+ts::DataMatrix TiedData() {
+  ts::DatasetSpec spec;
+  spec.num_series = 30;
+  spec.num_samples = 100;
+  spec.num_clusters = 3;
+  spec.noise_level = 0.02;
+  spec.seed = 5;
+  la::Matrix values = ts::MakeSensorData(spec).matrix.matrix();
+  for (std::size_t i = 0; i < values.rows(); ++i) {
+    values(i, kDuplicate) = values(i, kDuplicated);
+    values(i, kConstant) = 0.0;
+  }
+  return ts::DataMatrix(std::move(values));
+}
+
+/// Every entity valued by the WA strategy (the model's propagated
+/// measures), ranked by value in the query direction, then series, then
+/// pair — written out here rather than borrowed from the engine.
+std::vector<ScapeTopKEntry> WaRanking(const Affinity& fw, Measure measure, bool largest) {
+  std::vector<ScapeTopKEntry> all;
+  if (IsLocation(measure)) {
+    for (ts::SeriesId v = 0; v < fw.data().n(); ++v) {
+      all.push_back(ScapeTopKEntry{ts::SequencePair{}, v, *fw.model().SeriesMeasure(measure, v)});
+    }
+  } else {
+    for (const auto& e : ts::AllSequencePairs(fw.data().n())) {
+      all.push_back(ScapeTopKEntry{e, kNoSeries, *fw.model().PairMeasure(measure, e)});
+    }
+  }
+  std::sort(all.begin(), all.end(), [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
+    if (a.value != b.value) return largest ? a.value > b.value : a.value < b.value;
+    if (a.series != b.series) return a.series < b.series;
+    return a.pair < b.pair;
+  });
+  return all;
+}
+
+/// A k that cuts through an exact tie group of `ranking`: two entries into
+/// the zero-valued pairs of the constant column, or between the two
+/// duplicated series for L-measures.
+std::size_t StraddlingK(const std::vector<ScapeTopKEntry>& ranking, Measure measure) {
+  std::size_t rank = 0;
+  if (IsLocation(measure)) {
+    while (ranking[rank].series != kDuplicated && ranking[rank].series != kDuplicate) ++rank;
+    EXPECT_EQ(ranking[rank].value, ranking[rank + 1].value);  // the tie is exact
+    return rank + 1;
+  }
+  while (ranking[rank].value != 0.0) ++rank;
+  EXPECT_EQ(ranking[rank + 2].value, 0.0);
+  return rank + 2;
+}
+
+class TopKTies : public ::testing::TestWithParam<Measure> {
+ protected:
+  static void SetUpTestSuite() {
+    auto fw = Affinity::Build(TiedData());
+    ASSERT_TRUE(fw.ok()) << fw.status().ToString();
+    tied_ = new Affinity(std::move(fw).value());
+  }
+  static void TearDownTestSuite() {
+    delete tied_;
+    tied_ = nullptr;
+  }
+  static Affinity* tied_;
+};
+
+Affinity* TopKTies::tied_ = nullptr;
+
+TEST_P(TopKTies, BoundedScanEqualsCanonicalWaReference) {
+  const Measure measure = GetParam();
+  const std::size_t population =
+      IsLocation(measure) ? tied_->data().n() : ts::SequencePairCount(tied_->data().n());
+  for (const bool largest : {true, false}) {
+    const std::vector<ScapeTopKEntry> reference = WaRanking(*tied_, measure, largest);
+    // The index's own values with nothing pruned: k covers every entry.
+    auto exhaustive = tied_->scape()->TopK(measure, population, largest);
+    ASSERT_TRUE(exhaustive.ok());
+    ASSERT_EQ(exhaustive->entries.size(), population);
+    for (const std::size_t k :
+         {std::size_t{10}, std::size_t{50}, StraddlingK(reference, measure)}) {
+      SCOPED_TRACE(std::string(MeasureName(measure)) + (largest ? " largest" : " smallest") +
+                   " k=" + std::to_string(k));
+      auto live = tied_->scape()->TopK(measure, k, largest);
+      ASSERT_TRUE(live.ok());
+      ASSERT_EQ(live->entries.size(), std::min(k, population));
+      for (std::size_t i = 0; i < live->entries.size(); ++i) {
+        const ScapeTopKEntry& got = live->entries[i];
+        // Pruning changes nothing: the bounded scan is a prefix of the
+        // exhaustive ranking, entities and bits.
+        EXPECT_EQ(got.pair, exhaustive->entries[i].pair) << "rank " << i;
+        EXPECT_EQ(got.series, exhaustive->entries[i].series) << "rank " << i;
+        EXPECT_EQ(got.value, exhaustive->entries[i].value) << "rank " << i;
+        // The same entities as the WA ranking, ties resolved by id; values
+        // agree to the key transform's rounding, and exactly on the tied
+        // zero-valued degenerate entries.
+        EXPECT_EQ(got.pair, reference[i].pair) << "rank " << i;
+        EXPECT_EQ(got.series, reference[i].series) << "rank " << i;
+        EXPECT_NEAR(got.value, reference[i].value, 1e-9 * (1.0 + std::fabs(reference[i].value)))
+            << "rank " << i;
+        if (reference[i].value == 0.0) {
+          EXPECT_EQ(got.value, 0.0) << "rank " << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Measures, TopKTies,
+                         ::testing::Values(Measure::kCovariance, Measure::kDotProduct,
+                                           Measure::kCorrelation, Measure::kCosine,
+                                           Measure::kMean, Measure::kMedian, Measure::kMode));
 
 TEST_F(TopKTest, TopPairsAreMutuallyDistinct) {
   auto result = framework_->scape()->TopK(Measure::kCorrelation, 50, true);
