@@ -108,12 +108,6 @@ struct ShardResult {
   double min_seconds = 0;
   std::size_t rekeys = 0;
   std::size_t refits = 0;
-  // Cross co-moment cache accounting (ISSUE 4 acceptance: repeated MET on
-  // a warm cache does zero raw pair scans for cached pairs).
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  double cache_hit_ratio = 0;
-  std::size_t warm_pair_scans = 0;  ///< raw cross-pair scans during the warm repeats
 };
 
 ShardResult RunShardConfig(const ShardConfig& config, const ts::Dataset& feed,
@@ -126,9 +120,6 @@ ShardResult RunShardConfig(const ShardConfig& config, const ts::Dataset& feed,
   options.streaming.build.afclst.k = config.shards > 1 ? 3 : 6;
   options.streaming.build.build_dft = false;
   options.streaming.build.threads = config.threads;
-  // Watch every cross pair so the warm-query probe below exercises the
-  // co-moment cache end to end.
-  options.cross_cache.budget = static_cast<std::size_t>(-1);
   auto service = shard::ShardedAffinity::Create(feed.matrix.names(), options);
   if (!service.ok()) {
     std::fprintf(stderr, "sharded create failed: %s\n", service.status().ToString().c_str());
@@ -173,23 +164,6 @@ ShardResult RunShardConfig(const ShardConfig& config, const ts::Dataset& feed,
   out.mean_seconds = total / static_cast<double>(out.refreshes);
   out.rekeys = service->maintenance().tree_rekeys;
   out.refits = service->maintenance().relationships_refit;
-
-  // Warm-cache probe: repeated MET on the freshly stamped snapshot. Every
-  // watched cross pair must answer from its co-moments — zero raw pair
-  // scans across the repeats.
-  const core::CrossSweepStats before = service->cross_sweep_stats();
-  for (int q = 0; q < 8; ++q) {
-    auto met = service->Met({core::Measure::kCorrelation, 0.5, true});
-    if (!met.ok()) {
-      std::fprintf(stderr, "warm MET failed: %s\n", met.status().ToString().c_str());
-      std::exit(1);
-    }
-  }
-  const core::CrossSweepStats after = service->cross_sweep_stats();
-  out.warm_pair_scans = after.pairs_scanned - before.pairs_scanned;
-  out.cache_hits = service->cross_cache_stats().hits;
-  out.cache_misses = service->cross_cache_stats().misses;
-  out.cache_hit_ratio = service->cross_cache_stats().HitRatio();
   return out;
 }
 
@@ -213,17 +187,13 @@ int RunShardSweep(const std::vector<std::size_t>& shard_counts, bool quick, bool
 
   std::printf("# bench_streaming --shards — steady-state sharded refresh latency, "
               "stock generator (n=%zu, threads=%zu)\n", spec.num_series, threads);
-  std::printf(
-      "shards,threads,window,interval,refreshes,mean_us,min_us,"
-      "cache_hits,cache_misses,cache_hit_ratio,warm_pair_scans\n");
+  std::printf("shards,threads,window,interval,refreshes,mean_us,min_us\n");
   std::vector<ShardResult> results;
   for (const ShardConfig& config : configs) {
     ShardResult r = RunShardConfig(config, feed, measured);
     results.push_back(r);
-    std::printf("%zu,%zu,%zu,%zu,%zu,%.1f,%.1f,%zu,%zu,%.3f,%zu\n", config.shards,
-                config.threads, config.window, config.interval, r.refreshes,
-                r.mean_seconds * 1e6, r.min_seconds * 1e6, r.cache_hits, r.cache_misses,
-                r.cache_hit_ratio, r.warm_pair_scans);
+    std::printf("%zu,%zu,%zu,%zu,%zu,%.1f,%.1f\n", config.shards, config.threads, config.window,
+                config.interval, r.refreshes, r.mean_seconds * 1e6, r.min_seconds * 1e6);
   }
 
   // Scaling headline: each shard count vs the first listed (typically 1).
@@ -254,12 +224,9 @@ int RunShardSweep(const std::vector<std::size_t>& shard_counts, bool quick, bool
                    "    {\"name\": \"shard_refresh/shards:%zu/threads:%zu/window:%zu/"
                    "interval:%zu\", \"run_type\": \"iteration\", \"iterations\": %zu, "
                    "\"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"us\", "
-                   "\"rekeys\": %zu, \"refits\": %zu, \"cache_hits\": %zu, "
-                   "\"cache_misses\": %zu, \"cache_hit_ratio\": %.3f, "
-                   "\"warm_pair_scans\": %zu}%s\n",
+                   "\"rekeys\": %zu, \"refits\": %zu}%s\n",
                    r.config.shards, r.config.threads, r.config.window, r.config.interval,
                    r.refreshes, r.mean_seconds * 1e6, r.mean_seconds * 1e6, r.rekeys, r.refits,
-                   r.cache_hits, r.cache_misses, r.cache_hit_ratio, r.warm_pair_scans,
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

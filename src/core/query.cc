@@ -50,8 +50,7 @@ void NextPair(std::size_t n, std::size_t* u, std::size_t* v) {
 StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
                                                  const std::vector<CrossPair>& pairs,
                                                  std::size_t m, const ExecContext& exec,
-                                                 std::vector<PairMoments>* moments,
-                                                 CrossSweepStats* stats, std::size_t anchor) {
+                                                 std::size_t anchor) {
   if (IsLocation(measure)) {
     return Status::InvalidArgument("cross-shard evaluation covers pair measures only");
   }
@@ -72,12 +71,7 @@ StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
   }
   const std::vector<kernels::Marginals> marginals =
       kernels::HoistMarginals(columns, m, exec, anchor);
-  if (stats != nullptr) {
-    stats->pairs_scanned += pairs.size();
-    stats->columns_hoisted += columns.size();
-  }
   std::vector<double> values(pairs.size());
-  if (moments != nullptr) moments->resize(pairs.size());
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
       exec, pairs.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
         for (std::size_t i = lo; i < hi; ++i) {
@@ -94,7 +88,6 @@ StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
           auto value = PairMeasureFromMoments(measure, pm);
           if (!value.ok()) return value.status();
           values[i] = *value;
-          if (moments != nullptr) (*moments)[i] = pm;
         }
         return Status::OK();
       }));

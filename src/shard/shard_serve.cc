@@ -5,10 +5,23 @@
 #include <string>
 #include <utility>
 
-#include "common/exec_context.h"
 #include "core/planner.h"
 
 namespace affinity::shard {
+
+RoutingTables::RoutingTables(SeriesPartitioner p) : partitioner(std::move(p)) {
+  // The complement of the per-shard pair sets.
+  const std::size_t n = partitioner.n();
+  cross.reserve(partitioner.cross_pair_count());
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    for (std::size_t v = u + 1; v < n; ++v) {
+      if (partitioner.shard_of(static_cast<ts::SeriesId>(u)) !=
+          partitioner.shard_of(static_cast<ts::SeriesId>(v))) {
+        cross.emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
+      }
+    }
+  }
+}
 
 namespace {
 
@@ -19,9 +32,9 @@ using core::QueryPlanner;
 using core::ScapeTopKEntry;
 using core::ScapeTopKResult;
 
-/// K-way heap merge of sorted runs — the same gather step the live router
-/// runs (sharded.cc keeps its own file-local copy; the shapes must stay
-/// identical for the bitwise-identity contract).
+/// K-way heap merge of sorted runs into one sorted vector — the gather
+/// step for selection results (runs: per-shard answers + the cross-shard
+/// sweep, each sorted ascending under `less`).
 template <typename T, typename Less>
 std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less less) {
   struct Head {
@@ -51,16 +64,26 @@ std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less les
 /// The snapshot column of global series `id` (shard snapshots hold the
 /// window copies; local order matches the live shard's DataMatrix).
 const double* ColumnOf(const RouterSnapshot& snap, ts::SeriesId id) {
-  return snap.shards[snap.shard_of[id]]->data.ColumnData(snap.local_of[id]);
+  const SeriesPartitioner& p = snap.routing->partitioner;
+  return snap.shards[p.shard_of(id)]->data.ColumnData(p.local_id(id));
 }
 
-/// Mirrors ShardedAffinity::ResolveShardPlan for the unblended path. A
-/// RouterSnapshot only exists once the deployment is ready, so there is
-/// no FailedPrecondition arm; blending is live-only (the facade handles
-/// it before ever consulting a snapshot).
+/// Composite quality score of global series `id` from its shard's surface
+/// (1 when the caller has none, or the series is not scored yet).
+double QualityOf(const RouterSnapshot& snap, const GatherOptions& options, ts::SeriesId id) {
+  if (options.quality.empty()) return 1.0;
+  const SeriesPartitioner& p = snap.routing->partitioner;
+  const std::vector<double>& scores = *options.quality[p.shard_of(id)];
+  const ts::SeriesId local = p.local_id(id);
+  return local < scores.size() ? scores[local] : 1.0;
+}
+
+/// The executed plan: the caller's blend plan, an explicitly requested
+/// method, or the shard-aware kAuto planner over the epoch.
 template <typename PlanFn>
-ExecutedPlan ResolveRouterPlan(const RouterSnapshot& snap, QueryMethod method,
-                               const PlanFn& plan) {
+ExecutedPlan ResolvePlan(const RouterSnapshot& snap, QueryMethod method,
+                         const GatherOptions& options, const PlanFn& plan) {
+  if (options.blend) return options.blend->plan;
   if (method != QueryMethod::kAuto) {
     ExecutedPlan explicit_plan;
     explicit_plan.method = method;
@@ -70,84 +93,115 @@ ExecutedPlan ResolveRouterPlan(const RouterSnapshot& snap, QueryMethod method,
                               std::to_string(snap.shards.size()) + " shards";
     return explicit_plan;
   }
-  const QueryPlanner::Topology topology{
-      snap.shards.size(), snap.cross.size(),
-      snap.cross_view != nullptr ? snap.cross_view->stamped_count : 0};
+  const QueryPlanner::Topology topology{snap.shards.size(), snap.routing->cross.size()};
   const QueryPlanner planner(snap.max_n, snap.window, snap.caps, topology);
   return plan(planner);
 }
 
-/// Mirrors ShardedAffinity::CrossPairValues (unblended): stamped pairs
-/// answer O(1) from the frozen co-moments — the exact moments the live
-/// cache serves at this generation — and the rest sweep the shard
-/// snapshots' window copies with the canonical blocked kernels, which is
-/// bitwise the live miss path over the same columns.
-StatusOr<std::vector<double>> RouterCrossValues(const RouterSnapshot& snap, Measure measure) {
-  std::vector<double> values(snap.cross.size());
-  std::vector<std::size_t> swept;
-  swept.reserve(snap.cross.size());
-  const RouterSnapshot::CrossMomentView* view = snap.cross_view.get();
-  for (std::size_t i = 0; i < snap.cross.size(); ++i) {
-    if (view != nullptr && i < view->stamped.size() && view->stamped[i] != 0) {
-      auto value = core::PairMeasureFromMoments(measure, view->moments[i]);
-      if (!value.ok()) return value.status();
-      values[i] = *value;
-    } else {
-      swept.push_back(i);
-    }
+/// Stamps where the answer ran. A blended answer rescales by live
+/// marginals, so it is not a snapshot answer.
+void Annotate(ExecutedPlan* plan, const RouterSnapshot& snap, const GatherOptions& options) {
+  if (!options.blend) core::AnnotateSnapshotServed(plan, snap.generation);
+}
+
+/// Values of `pairs` (each spanning two shards) swept naively over the
+/// epoch's snapshot columns with the canonical blocked kernels, then
+/// blended when the caller asks (correlation is scale-free, so it passes
+/// through the blend unchanged).
+StatusOr<std::vector<double>> CrossValues(const RouterSnapshot& snap, Measure measure,
+                                          const std::vector<ts::SequencePair>& pairs,
+                                          const GatherOptions& options) {
+  std::vector<core::CrossPair> resolved(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    resolved[i] = core::CrossPair{pairs[i], ColumnOf(snap, pairs[i].u), ColumnOf(snap, pairs[i].v)};
   }
-  if (!swept.empty()) {
-    std::vector<core::CrossPair> resolved(swept.size());
-    for (std::size_t j = 0; j < swept.size(); ++j) {
-      const ts::SequencePair e = snap.cross[swept[j]];
-      resolved[j] = core::CrossPair{e, ColumnOf(snap, e.u), ColumnOf(snap, e.v)};
-    }
-    AFFINITY_ASSIGN_OR_RETURN(
-        const std::vector<double> swept_values,
-        core::EvaluateCrossPairs(measure, resolved, snap.window, ExecContext{}, nullptr,
-                                 nullptr, snap.anchor));
-    for (std::size_t j = 0; j < swept.size(); ++j) values[swept[j]] = swept_values[j];
+  const auto sweep = [&](Measure m) {
+    return core::EvaluateCrossPairs(m, resolved, snap.window, options.exec, snap.anchor);
+  };
+  AFFINITY_ASSIGN_OR_RETURN(std::vector<double> values, sweep(measure));
+  if (!options.blend || measure == Measure::kCorrelation) return values;
+  AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> rhos, sweep(Measure::kCorrelation));
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    values[i] = options.blend->value(pairs[i], rhos[i], values[i]);
   }
   return values;
 }
 
-/// The shared MET/MER gather, mirroring SelectAcrossShards: per-shard
-/// snapshot selections, local→global rewrite + sort, the cross-shard
-/// sweep under `keep`, then the k-way merge.
-template <typename PlanFn, typename ShardQuery>
-StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure measure,
-                                             bool (*keep)(double, double, double), double a,
-                                             double b, QueryMethod method, const PlanFn& plan,
-                                             const ShardQuery& shard_query) {
-  ExecutedPlan resolved = ResolveRouterPlan(snap, method, plan);
-  const QueryMethod per_shard = method == QueryMethod::kAuto ? resolved.method : method;
+/// Rewrites a shard's local ids to global ones.
+ts::SequencePair GlobalPair(const SeriesPartitioner& p, std::size_t s, ts::SequencePair e) {
+  return ts::SequencePair(p.global_id(s, e.u), p.global_id(s, e.v));
+}
 
-  core::SelectionResult out;
+/// The shared MET/MER gather: per-shard selections run concurrently on
+/// `options.exec` (every write is shard-disjoint), local ids are rewritten
+/// to global and sorted, the cross-shard sweep applies `keep(value, a, b)`
+/// plus the `min_quality` predicate, and the sorted runs k-way merge.
+template <typename PlanFn>
+StatusOr<core::SelectionResult> Select(const RouterSnapshot& snap, Measure measure,
+                                       bool (*keep)(double, double, double), double a, double b,
+                                       double min_quality, QueryMethod method,
+                                       const PlanFn& plan_fn, const ShardSelect& shard,
+                                       const GatherOptions& options) {
+  ExecutedPlan plan = ResolvePlan(snap, method, options, plan_fn);
+  const QueryMethod per_shard = method == QueryMethod::kAuto ? plan.method : method;
+  const SeriesPartitioner& partitioner = snap.routing->partitioner;
   const bool location = core::IsLocation(measure);
   const std::size_t n_shards = snap.shards.size();
   std::vector<std::vector<ts::SeriesId>> series_runs(n_shards);
   std::vector<std::vector<ts::SequencePair>> pair_runs(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    AFFINITY_ASSIGN_OR_RETURN(core::SelectionResult r, shard_query(*snap.shards[s], per_shard));
-    out.prune += r.prune;
-    if (location) {
-      for (ts::SeriesId& v : r.series) v = snap.groups[s][v];
-      std::sort(r.series.begin(), r.series.end());
-      series_runs[s] = std::move(r.series);
-    } else {
-      for (ts::SequencePair& e : r.pairs) {
-        e = ts::SequencePair(snap.groups[s][e.u], snap.groups[s][e.v]);
-      }
-      std::sort(r.pairs.begin(), r.pairs.end());
-      pair_runs[s] = std::move(r.pairs);
-    }
+  std::vector<core::PruneStats> prunes(n_shards);
+  std::vector<core::AnswerQuality> qualities(n_shards);
+  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
+      options.exec, n_shards,
+      [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t s = lo; s < hi; ++s) {
+          AFFINITY_ASSIGN_OR_RETURN(core::SelectionResult r, shard(s, per_shard));
+          prunes[s] = r.prune;
+          qualities[s] = r.quality;
+          if (location) {
+            for (ts::SeriesId& v : r.series) v = partitioner.global_id(s, v);
+            std::sort(r.series.begin(), r.series.end());
+            series_runs[s] = std::move(r.series);
+          } else {
+            for (ts::SequencePair& e : r.pairs) e = GlobalPair(partitioner, s, e);
+            std::sort(r.pairs.begin(), r.pairs.end());
+            pair_runs[s] = std::move(r.pairs);
+          }
+        }
+        return Status::OK();
+      }));
+  core::SelectionResult out;
+  for (const core::PruneStats& p : prunes) out.prune += p;
+  // The merged stamp: populated only when every shard answered with a
+  // quality surface; min over shard minima, exclusions summed (cross-pair
+  // exclusions added below).
+  core::AnswerQuality merged;
+  merged.populated = n_shards > 0;
+  for (const core::AnswerQuality& q : qualities) {
+    merged.populated = merged.populated && q.populated;
+    merged.min_score = std::min(merged.min_score, q.min_score);
+    merged.excluded += q.excluded;
   }
   if (!location && n_shards > 1) {
+    const std::vector<ts::SequencePair>& cross = snap.routing->cross;
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              RouterCrossValues(snap, measure));
+                              CrossValues(snap, measure, cross, options));
     std::vector<ts::SequencePair> kept;
-    for (std::size_t i = 0; i < snap.cross.size(); ++i) {
-      if (keep(values[i], a, b)) kept.push_back(snap.cross[i]);
+    for (std::size_t i = 0; i < cross.size(); ++i) {
+      if (!keep(values[i], a, b)) continue;
+      // No shard model covers a cross pair, so its quality predicate runs
+      // here, against each endpoint's shard-local surface — same
+      // conjunctive semantics as QueryEngine's post-filter.
+      if (min_quality > 0.0 || merged.populated) {
+        const double su = QualityOf(snap, options, cross[i].u);
+        const double sv = QualityOf(snap, options, cross[i].v);
+        if (min_quality > 0.0 && (su < min_quality || sv < min_quality)) {
+          ++merged.excluded;
+          continue;
+        }
+        if (merged.populated) merged.min_score = std::min(merged.min_score, std::min(su, sv));
+      }
+      kept.push_back(cross[i]);
     }
     pair_runs.push_back(std::move(kept));  // already lex-sorted
   }
@@ -156,64 +210,86 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
   } else {
     out.pairs = MergeSortedRuns(pair_runs, std::less<ts::SequencePair>{});
   }
-  core::AnnotateSnapshotServed(&resolved, snap.generation);
-  out.plan = std::move(resolved);
+  out.quality = merged;
+  if (min_quality > 0.0) core::AnnotateQualityFiltered(&plan, min_quality, merged.excluded);
+  Annotate(&plan, snap, options);
+  out.plan = std::move(plan);
   return out;
 }
 
 }  // namespace
 
-StatusOr<core::SelectionResult> RouterMet(const RouterSnapshot& snap,
-                                          const core::MetRequest& request,
-                                          QueryMethod method) {
-  return RouterSelect(
-      snap, request.measure, request.greater ? core::KeepGreater : core::KeepLesser,
-      request.tau, 0.0, method,
-      [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); },
-      [&](const serve::ServingSnapshot& shard, QueryMethod m) {
-        return serve::SnapshotMet(shard, request, m);
-      });
+StatusOr<core::SelectionResult> GatherMet(const RouterSnapshot& snap,
+                                          const core::MetRequest& request, QueryMethod method,
+                                          const ShardSelect& shard, const GatherOptions& options) {
+  return Select(
+      snap, request.measure, request.greater ? core::KeepGreater : core::KeepLesser, request.tau,
+      0.0, request.min_quality, method,
+      [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); }, shard,
+      options);
 }
 
-StatusOr<core::SelectionResult> RouterMer(const RouterSnapshot& snap,
-                                          const core::MerRequest& request,
-                                          QueryMethod method) {
+StatusOr<core::SelectionResult> GatherMer(const RouterSnapshot& snap,
+                                          const core::MerRequest& request, QueryMethod method,
+                                          const ShardSelect& shard, const GatherOptions& options) {
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
-  return RouterSelect(
-      snap, request.measure, core::KeepInside, request.lo, request.hi, method,
-      [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
-      [&](const serve::ServingSnapshot& shard, QueryMethod m) {
-        return serve::SnapshotMer(shard, request, m);
-      });
+  return Select(
+      snap, request.measure, core::KeepInside, request.lo, request.hi, request.min_quality, method,
+      [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); }, shard,
+      options);
 }
 
-StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
-                                      const core::TopKRequest& request, QueryMethod method) {
-  ExecutedPlan plan = ResolveRouterPlan(snap, method, [&](const QueryPlanner& planner) {
+StatusOr<core::TopKResult> GatherTopK(const RouterSnapshot& snap, const core::TopKRequest& request,
+                                      QueryMethod method, const ShardTopK& shard,
+                                      const GatherOptions& options) {
+  ExecutedPlan plan = ResolvePlan(snap, method, options, [&](const QueryPlanner& planner) {
     return planner.PlanTopK(request.measure, request.k);
   });
   const QueryMethod per_shard = method == QueryMethod::kAuto ? plan.method : method;
-
-  std::vector<ScapeTopKResult> runs(snap.shards.size());
-  for (std::size_t s = 0; s < snap.shards.size(); ++s) {
-    AFFINITY_ASSIGN_OR_RETURN(core::TopKResult r,
-                              serve::SnapshotTopK(*snap.shards[s], request, per_shard));
-    for (ScapeTopKEntry& entry : r.entries) {
-      if (entry.has_series()) {
-        entry.series = snap.groups[s][entry.series];
-      } else {
-        entry.pair = ts::SequencePair(snap.groups[s][entry.pair.u], snap.groups[s][entry.pair.v]);
-      }
-    }
-    runs[s] = std::move(r);
+  const SeriesPartitioner& partitioner = snap.routing->partitioner;
+  const std::size_t n_shards = snap.shards.size();
+  std::vector<ScapeTopKResult> runs(n_shards);
+  std::vector<core::AnswerQuality> qualities(n_shards);
+  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
+      options.exec, n_shards,
+      [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t s = lo; s < hi; ++s) {
+          AFFINITY_ASSIGN_OR_RETURN(core::TopKResult r, shard(s, per_shard));
+          qualities[s] = r.quality;
+          for (ScapeTopKEntry& entry : r.entries) {
+            if (entry.has_series()) {
+              entry.series = partitioner.global_id(s, entry.series);
+            } else {
+              entry.pair = GlobalPair(partitioner, s, entry.pair);
+            }
+          }
+          runs[s] = std::move(r);
+        }
+        return Status::OK();
+      }));
+  core::AnswerQuality merged;
+  merged.populated = n_shards > 0;
+  for (const core::AnswerQuality& q : qualities) {
+    merged.populated = merged.populated && q.populated;
+    merged.excluded += q.excluded;
   }
-  if (!core::IsLocation(request.measure) && snap.shards.size() > 1) {
+  if (!core::IsLocation(request.measure) && n_shards > 1) {
+    const std::vector<ts::SequencePair>& cross = snap.routing->cross;
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              RouterCrossValues(snap, request.measure));
+                              CrossValues(snap, request.measure, cross, options));
     ScapeTopKResult cross_run;
-    cross_run.entries.resize(snap.cross.size());
-    for (std::size_t i = 0; i < snap.cross.size(); ++i) {
-      cross_run.entries[i] = ScapeTopKEntry{snap.cross[i], core::kNoSeries, values[i]};
+    cross_run.entries.reserve(cross.size());
+    for (std::size_t i = 0; i < cross.size(); ++i) {
+      // Cross pairs compete only when both endpoints satisfy the quality
+      // predicate (per-shard answers already restricted their own
+      // competition).
+      if (request.min_quality > 0.0 &&
+          (QualityOf(snap, options, cross[i].u) < request.min_quality ||
+           QualityOf(snap, options, cross[i].v) < request.min_quality)) {
+        ++merged.excluded;
+        continue;
+      }
+      cross_run.entries.push_back(ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
     }
     const std::size_t k = std::min(request.k, cross_run.entries.size());
     const auto before = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
@@ -223,38 +299,55 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
                       cross_run.entries.begin() + static_cast<long>(k), cross_run.entries.end(),
                       before);
     cross_run.entries.resize(k);
-    cross_run.examined = snap.cross.size();
+    cross_run.examined = cross.size();
     runs.push_back(std::move(cross_run));
   }
   core::TopKResult out;
   static_cast<ScapeTopKResult&>(out) = core::MergeTopK(runs, request.k, request.largest);
-  core::AnnotateSnapshotServed(&plan, snap.generation);
+  if (merged.populated) {
+    // Exact stamp over the entries that actually survived the merge.
+    for (const ScapeTopKEntry& e : out.entries) {
+      const double score = e.has_series() ? QualityOf(snap, options, e.series)
+                                          : std::min(QualityOf(snap, options, e.pair.u),
+                                                     QualityOf(snap, options, e.pair.v));
+      merged.min_score = std::min(merged.min_score, score);
+    }
+  }
+  out.quality = merged;
+  if (request.min_quality > 0.0) {
+    core::AnnotateQualityFiltered(&plan, request.min_quality, merged.excluded);
+  }
+  Annotate(&plan, snap, options);
   out.plan = std::move(plan);
   return out;
 }
 
-StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::MecRequest& request,
-                                      QueryMethod method) {
-  ExecutedPlan plan = ResolveRouterPlan(snap, method, [&](const QueryPlanner& planner) {
+StatusOr<core::MecResponse> GatherMec(const RouterSnapshot& snap, const core::MecRequest& request,
+                                      QueryMethod method, const ShardMec& shard,
+                                      const GatherOptions& options) {
+  ExecutedPlan plan = ResolvePlan(snap, method, options, [&](const QueryPlanner& planner) {
     return planner.PlanMec(request.measure, request.ids.size());
   });
   if (request.ids.empty()) return Status::InvalidArgument("MEC requires a non-empty id set");
+  const SeriesPartitioner& partitioner = snap.routing->partitioner;
   for (const ts::SeriesId id : request.ids) {
-    if (id >= snap.n) {
+    if (id >= partitioner.n()) {
       return Status::OutOfRange("series id " + std::to_string(id) + " out of range (n=" +
-                                std::to_string(snap.n) + ")");
+                                std::to_string(partitioner.n()) + ")");
     }
   }
   const QueryMethod per_shard = method == QueryMethod::kAuto ? plan.method : method;
 
   // Slice the request per shard, remembering each id's request position.
-  std::vector<std::vector<std::size_t>> positions(snap.shards.size());
-  std::vector<core::MecRequest> slices(snap.shards.size());
+  const std::size_t n_shards = snap.shards.size();
+  std::vector<std::vector<std::size_t>> positions(n_shards);
+  std::vector<core::MecRequest> slices(n_shards);
   for (std::size_t i = 0; i < request.ids.size(); ++i) {
-    const std::size_t s = snap.shard_of[request.ids[i]];
+    const std::size_t s = partitioner.shard_of(request.ids[i]);
     positions[s].push_back(i);
     slices[s].measure = request.measure;
-    slices[s].ids.push_back(snap.local_of[request.ids[i]]);
+    slices[s].min_quality = request.min_quality;
+    slices[s].ids.push_back(partitioner.local_id(request.ids[i]));
   }
 
   const std::size_t count = request.ids.size();
@@ -265,65 +358,103 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
   } else {
     out.pair_values = la::Matrix(count, count);
   }
-  for (std::size_t s = 0; s < snap.shards.size(); ++s) {
-    if (slices[s].ids.empty()) continue;
-    AFFINITY_ASSIGN_OR_RETURN(core::MecResponse r,
-                              serve::SnapshotMec(*snap.shards[s], slices[s], per_shard));
-    if (location) {
-      for (std::size_t t = 0; t < positions[s].size(); ++t) {
-        out.location[positions[s][t]] = r.location[t];
-      }
-    } else {
-      for (std::size_t a = 0; a < positions[s].size(); ++a) {
-        for (std::size_t b = 0; b < positions[s].size(); ++b) {
-          out.pair_values(positions[s][a], positions[s][b]) = r.pair_values(a, b);
+  // One chunk per shard (writes are shard-disjoint request positions).
+  std::vector<core::AnswerQuality> qualities(n_shards);
+  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
+      options.exec, n_shards,
+      [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t s = lo; s < hi; ++s) {
+          if (slices[s].ids.empty()) continue;
+          AFFINITY_ASSIGN_OR_RETURN(core::MecResponse r, shard(s, slices[s], per_shard));
+          qualities[s] = r.quality;
+          if (location) {
+            for (std::size_t t = 0; t < positions[s].size(); ++t) {
+              out.location[positions[s][t]] = r.location[t];
+            }
+          } else {
+            for (std::size_t a = 0; a < positions[s].size(); ++a) {
+              for (std::size_t b = 0; b < positions[s].size(); ++b) {
+                out.pair_values(positions[s][a], positions[s][b]) = r.pair_values(a, b);
+              }
+            }
+          }
         }
-      }
-    }
-  }
+        return Status::OK();
+      }));
   if (!location) {
-    // Cross-shard cells, mirroring the live router: each requested (i, j)
-    // spanning two shards resolves its cross index by binary search into
-    // the lex cross list; stamped pairs answer from the frozen co-moments,
-    // the rest sweep the snapshot columns.
-    std::vector<core::CrossPair> resolved;
+    // Cross-shard cells: every requested (i, j) spanning two shards,
+    // evaluated naively over the epoch's columns.
+    std::vector<ts::SequencePair> pairs;
     std::vector<std::pair<std::size_t, std::size_t>> cells;
-    const RouterSnapshot::CrossMomentView* view = snap.cross_view.get();
     for (std::size_t i = 0; i < count; ++i) {
       for (std::size_t j = i + 1; j < count; ++j) {
-        if (snap.shard_of[request.ids[i]] == snap.shard_of[request.ids[j]]) continue;
-        const ts::SeriesId u = request.ids[i];
-        const ts::SeriesId v = request.ids[j];
-        const ts::SequencePair e(u, v);
-        const auto it = std::lower_bound(snap.cross.begin(), snap.cross.end(), e);
-        const std::size_t cross_index = static_cast<std::size_t>(it - snap.cross.begin());
-        if (view != nullptr && cross_index < view->stamped.size() &&
-            view->stamped[cross_index] != 0) {
-          AFFINITY_ASSIGN_OR_RETURN(
-              const double value,
-              core::PairMeasureFromMoments(request.measure, view->moments[cross_index]));
-          out.pair_values(i, j) = value;
-          out.pair_values(j, i) = value;
+        if (partitioner.shard_of(request.ids[i]) == partitioner.shard_of(request.ids[j])) {
           continue;
         }
-        resolved.push_back(core::CrossPair{e, ColumnOf(snap, u), ColumnOf(snap, v)});
+        pairs.emplace_back(request.ids[i], request.ids[j]);
         cells.emplace_back(i, j);
       }
     }
-    if (!resolved.empty()) {
-      AFFINITY_ASSIGN_OR_RETURN(
-          const std::vector<double> values,
-          core::EvaluateCrossPairs(request.measure, resolved, snap.window, ExecContext{},
-                                   nullptr, nullptr, snap.anchor));
+    if (!pairs.empty()) {
+      AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
+                                CrossValues(snap, request.measure, pairs, options));
       for (std::size_t idx = 0; idx < cells.size(); ++idx) {
         out.pair_values(cells[idx].first, cells[idx].second) = values[idx];
         out.pair_values(cells[idx].second, cells[idx].first) = values[idx];
       }
     }
   }
-  core::AnnotateSnapshotServed(&plan, snap.generation);
+  // Merged stamp over the shards the request actually touched (every id
+  // lands in exactly one slice, and each slice already enforced the
+  // FailedPrecondition contract for its ids).
+  core::AnswerQuality merged;
+  merged.populated = true;
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    if (slices[s].ids.empty()) continue;
+    merged.populated = merged.populated && qualities[s].populated;
+    merged.min_score = std::min(merged.min_score, qualities[s].min_score);
+    merged.excluded += qualities[s].excluded;
+  }
+  out.quality = merged;
+  Annotate(&plan, snap, options);
   out.plan = std::move(plan);
   return out;
+}
+
+StatusOr<core::SelectionResult> RouterMet(const RouterSnapshot& snap,
+                                          const core::MetRequest& request, QueryMethod method) {
+  return GatherMet(
+      snap, request, method,
+      [&](std::size_t s, QueryMethod m) { return serve::SnapshotMet(*snap.shards[s], request, m); },
+      {});
+}
+
+StatusOr<core::SelectionResult> RouterMer(const RouterSnapshot& snap,
+                                          const core::MerRequest& request, QueryMethod method) {
+  return GatherMer(
+      snap, request, method,
+      [&](std::size_t s, QueryMethod m) { return serve::SnapshotMer(*snap.shards[s], request, m); },
+      {});
+}
+
+StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
+                                      const core::TopKRequest& request, QueryMethod method) {
+  return GatherTopK(
+      snap, request, method,
+      [&](std::size_t s, QueryMethod m) {
+        return serve::SnapshotTopK(*snap.shards[s], request, m);
+      },
+      {});
+}
+
+StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::MecRequest& request,
+                                      QueryMethod method) {
+  return GatherMec(
+      snap, request, method,
+      [&](std::size_t s, const core::MecRequest& slice, QueryMethod m) {
+        return serve::SnapshotMec(*snap.shards[s], slice, m);
+      },
+      {});
 }
 
 }  // namespace affinity::shard

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <queue>
 #include <utility>
 
 #include "core/serialize.h"
@@ -15,53 +14,25 @@ namespace affinity::shard {
 namespace {
 
 using core::AppendResult;
-using core::CrossPair;
 using core::ExecutedPlan;
 using core::FreshnessOptions;
 using core::FreshnessReport;
 using core::Measure;
 using core::QueryMethod;
-using core::QueryPlanner;
-using core::ScapeTopKEntry;
-using core::ScapeTopKResult;
 
-/// K-way heap merge of sorted runs into one sorted vector — the gather
-/// step for selection results (runs: per-shard answers + the cross-shard
-/// sweep, each sorted ascending under `less`).
-template <typename T, typename Less>
-std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less less) {
-  struct Head {
-    std::size_t run;
-    std::size_t pos;
-  };
-  const auto head_greater = [&](const Head& a, const Head& b) {
-    return less(runs[b.run][b.pos], runs[a.run][a.pos]);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> frontier(head_greater);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    total += runs[r].size();
-    if (!runs[r].empty()) frontier.push(Head{r, 0});
-  }
-  std::vector<T> out;
-  out.reserve(total);
-  while (!frontier.empty()) {
-    const Head head = frontier.top();
-    frontier.pop();
-    out.push_back(runs[head.run][head.pos]);
-    if (head.pos + 1 < runs[head.run].size()) frontier.push(Head{head.run, head.pos + 1});
-  }
-  return out;
+/// `options` carrying the gather's resolved per-shard method.
+FreshnessOptions PerShard(FreshnessOptions options, QueryMethod method) {
+  options.method = method;
+  return options;
 }
 
 // --- Manifest framing (composes with serialize.h model payloads) ----------
 
 constexpr char kManifestMagic[4] = {'A', 'F', 'F', 'S'};
-// v2 added the cross co-moment cache tuning (budget, exact_resync_period)
-// so a restored router keeps its watch-list instead of silently reverting
-// to a disabled cache (part of the ISSUE 5 restore-ordering audit). v1
-// manifests still load with the cache defaults they were written under.
-constexpr std::uint32_t kManifestVersion = 2;
+// v3 dropped the two cross co-moment cache words (budget,
+// exact_resync_period) that v2 wrote after the build-tuning section; v2
+// manifests still load, their two words read and discarded.
+constexpr std::uint32_t kManifestVersion = 3;
 constexpr std::uint32_t kMinManifestVersion = 1;
 
 void WriteU32(std::ostream& out, std::uint32_t v) {
@@ -87,35 +58,35 @@ bool ReadF64(std::istream& in, double* v) {
   return in.gcount() == sizeof *v;
 }
 
+/// Bytes left between the read position and the end of `in` (0 when the
+/// stream cannot tell) — the bound on any count the manifest declares.
+std::uint64_t UnreadBytes(std::istream& in) {
+  const std::streampos here = in.tellg();
+  if (here == std::streampos(-1) || !in.seekg(0, std::ios::end)) return 0;
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return end != std::streampos(-1) && end >= here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // ShardRouter.
 // ---------------------------------------------------------------------------
 
-ShardRouter::ShardRouter(SeriesPartitioner partitioner) : partitioner_(std::move(partitioner)) {
-  scatter_.resize(partitioner_.shards());
-  for (std::size_t s = 0; s < partitioner_.shards(); ++s) {
-    scatter_[s].resize(partitioner_.group(s).size());
-  }
-  // Cross-shard pairs, (u, v)-lex in global ids, fixed for the router's
-  // lifetime: the complement of the per-shard pair sets.
-  const std::size_t n = partitioner_.n();
-  cross_pairs_.reserve(partitioner_.cross_pair_count());
-  for (std::size_t u = 0; u + 1 < n; ++u) {
-    for (std::size_t v = u + 1; v < n; ++v) {
-      if (partitioner_.shard_of(static_cast<ts::SeriesId>(u)) !=
-          partitioner_.shard_of(static_cast<ts::SeriesId>(v))) {
-        cross_pairs_.emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
-      }
-    }
+ShardRouter::ShardRouter(SeriesPartitioner partitioner)
+    : routing_(std::make_shared<const RoutingTables>(std::move(partitioner))) {
+  scatter_.resize(routing_->partitioner.shards());
+  for (std::size_t s = 0; s < scatter_.size(); ++s) {
+    scatter_[s].resize(routing_->partitioner.group(s).size());
   }
 }
 
 const std::vector<std::vector<double>>& ShardRouter::Scatter(const std::vector<double>& row) {
+  const SeriesPartitioner& partitioner = routing_->partitioner;
   for (std::size_t i = 0; i < row.size(); ++i) {
     const auto id = static_cast<ts::SeriesId>(i);
-    scatter_[partitioner_.shard_of(id)][partitioner_.local_id(id)] = row[i];
+    scatter_[partitioner.shard_of(id)][partitioner.local_id(id)] = row[i];
   }
   return scatter_;
 }
@@ -168,8 +139,6 @@ Status ShardedAffinity::InitShards(const std::vector<std::string>& names) {
     shards_.push_back(std::move(stream));
   }
   append_results_.resize(shards_.size());
-  cross_cache_ =
-      CrossMomentCache(router_.cross_pairs(), options_.streaming.window, options_.cross_cache);
   return Status::OK();
 }
 
@@ -183,10 +152,6 @@ AppendResult ShardedAffinity::Append(const std::vector<double>& row) {
   }
   const std::vector<std::vector<double>>& scattered = router_.Scatter(row);
   ++rows_;
-  // Roll the cross watch-list before the shard appends: a refresh below
-  // absorbs this row, so the rolled live window must already include it
-  // when the post-refresh Stamp freezes it as the snapshot moments.
-  cross_cache_.Observe(row);
   // One chunk per shard: appends (and any due refreshes) run concurrently
   // on the shared pool, each shard's own maintenance sequential within its
   // worker.
@@ -227,7 +192,6 @@ AppendResult ShardedAffinity::AppendMasked(const std::vector<double>& values,
     }
   }
   ++rows_;
-  cross_cache_.Observe(values);
   ParallelChunks(exec_, shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo,
                                             std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
@@ -253,31 +217,18 @@ AppendResult ShardedAffinity::FinishAppend() {
     }
     out.escalated = out.escalated || r.escalated;
   }
-  if (out.refreshed) {
-    ++cross_generation_;
-    if (out.escalated || !out.status.ok()) {
-      // Conservative: a rebuild (or a half-failed lockstep refresh)
-      // re-froze shard state; drop the stamps and let the next sweep
-      // re-fill exactly.
-      cross_cache_.Invalidate();
-    } else {
-      cross_cache_.Stamp(cross_generation_, SnapshotAnchor());
-    }
-    // Every shard republished its serving snapshot during this lockstep
-    // refresh; bundle them (plus the just-stamped co-moment view) into a
-    // fresh router epoch. A half-failed refresh keeps the previous epoch
-    // (its shard snapshots are still the last coherent lockstep set).
-    if (out.status.ok()) PublishRouterSnapshot();
-  }
+  // Every shard republished its serving snapshot during this lockstep
+  // refresh; bundle them into a fresh router epoch. A half-failed refresh
+  // keeps the previous epoch (its shard snapshots are still the last
+  // coherent lockstep set).
+  if (out.refreshed && out.status.ok()) PublishRouterSnapshot();
   return out;
 }
 
 void ShardedAffinity::PublishRouterSnapshot() {
   if (!ready()) return;
   auto snap = std::make_shared<RouterSnapshot>();
-  snap->generation = cross_generation_;
   snap->window = options_.streaming.window;
-  snap->n = router_.partitioner().n();
   snap->shards.reserve(shards_.size());
   core::QueryPlanner::Capabilities caps{true, true, true};
   std::size_t max_n = 0;
@@ -296,53 +247,13 @@ void ShardedAffinity::PublishRouterSnapshot() {
   snap->anchor = snap->shards[0]->data.anchor_row();
   snap->caps = caps;
   snap->max_n = max_n;
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  snap->shard_of.resize(partitioner.n());
-  snap->local_of.resize(partitioner.n());
-  for (std::size_t i = 0; i < partitioner.n(); ++i) {
-    const auto id = static_cast<ts::SeriesId>(i);
-    snap->shard_of[i] = partitioner.shard_of(id);
-    snap->local_of[i] = partitioner.local_id(id);
-  }
-  snap->groups.reserve(partitioner.shards());
-  for (std::size_t s = 0; s < partitioner.shards(); ++s) {
-    snap->groups.push_back(partitioner.group(s));
-  }
-  snap->cross = router_.cross_pairs();
-  // Re-freeze the cross co-moment view only when the cache's exportable
-  // state actually changed since the last publish (its mutation version
-  // moved). Otherwise the prior epoch's immutable view is shared — with
-  // the cache disabled (version pinned at 0) every epoch after the first
-  // shares one all-unstamped view forever.
-  if (last_cross_view_ == nullptr || cross_cache_.version() != last_cross_view_version_) {
-    auto view = std::make_shared<RouterSnapshot::CrossMomentView>();
-    cross_cache_.ExportStamped(cross_generation_, &view->stamped, &view->moments);
-    // A disabled cache exports empty vectors; pad to the cross list so the
-    // serve path treats every pair as unstamped (raw sweep), like the live
-    // path with the cache off.
-    view->stamped.resize(snap->cross.size(), 0);
-    view->moments.resize(snap->cross.size());
-    std::size_t stamped = 0;
-    for (const std::uint8_t flag : view->stamped) stamped += flag;
-    view->stamped_count = stamped;
-    last_cross_view_ = std::move(view);
-    last_cross_view_version_ = cross_cache_.version();
-  }
-  snap->cross_view = last_cross_view_;
+  snap->routing = router_.routing();
+  snap->generation = ++generation_;
   if (publisher_ == nullptr) {
     publisher_ = std::make_unique<serve::EpochPublisher<RouterSnapshot>>(
         options_.streaming.serving_history);
   }
   publisher_->Publish(std::move(snap));
-}
-
-std::size_t ShardedAffinity::SnapshotAnchor() const {
-  // Lockstep refreshes keep every shard snapshot on the same trailing
-  // window, hence on the same absolute block grid; shard 0 speaks for
-  // all (callers only run on a ready deployment).
-  return shards_.empty() || !shards_[0].ready()
-             ? 0
-             : shards_[0].framework()->data().anchor_row();
 }
 
 bool ShardedAffinity::ready() const {
@@ -367,10 +278,6 @@ std::vector<std::size_t> ShardedAffinity::snapshot_ages() const {
 }
 
 Status ShardedAffinity::Rebuild() {
-  // A manual rebuild re-snapshots every shard mid-interval; the cached
-  // generation no longer describes the snapshots, so drop it.
-  ++cross_generation_;
-  cross_cache_.Invalidate();
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
       exec_, shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
         for (std::size_t s = lo; s < hi; ++s) {
@@ -404,488 +311,120 @@ bool ShardedAffinity::NeedsBlend(const FreshnessOptions& options) const {
   return false;
 }
 
-StatusOr<ExecutedPlan> ShardedAffinity::ResolveShardPlan(
-    const std::function<core::PlanChoice(const QueryPlanner&)>& plan,
-    const FreshnessOptions& options) const {
-  if (!ready()) {
+StatusOr<std::shared_ptr<const RouterSnapshot>> ShardedAffinity::Epoch() const {
+  std::shared_ptr<const RouterSnapshot> snap = serving();
+  if (snap == nullptr) {
     return Status::FailedPrecondition("no shard snapshots yet (need window rows)");
   }
+  return snap;
+}
+
+GatherOptions ShardedAffinity::LiveGather(Measure measure, const FreshnessOptions& options) const {
+  GatherOptions live;
+  live.exec = exec_;
+  for (const core::StreamingAffinity& shard : shards_) {
+    live.quality.push_back(&shard.quality_scores());
+  }
   // Blend trumps strategy choice: a stale deployment answers with the
-  // live-marginal blend sweep whatever is attached.
+  // live-marginal blend whatever is attached.
   if (NeedsBlend(options)) {
     std::size_t max_age = 0;
     for (const core::StreamingAffinity& shard : shards_) {
       max_age = std::max(max_age, shard.snapshot_age());
     }
-    ExecutedPlan blended;
-    blended.method = QueryMethod::kAffine;
-    blended.rationale = "freshness blend over " + std::to_string(shards_.size()) +
-                        " shards: snapshot structure (age " + std::to_string(max_age) +
-                        " rows) rescaled by live rolling marginals";
-    return blended;
+    ExecutedPlan plan;
+    plan.method = QueryMethod::kAffine;
+    plan.rationale = "freshness blend over " + std::to_string(shards_.size()) +
+                     " shards: snapshot structure (age " + std::to_string(max_age) +
+                     " rows) rescaled by live rolling marginals";
+    // Snapshot correlation carries the structure, live rolling moments the
+    // marginals (same semantics as the per-shard blend).
+    live.blend = GatherOptions::Blend{
+        std::move(plan), [this, measure](ts::SequencePair e, double rho, double value) {
+          const SeriesPartitioner& p = router_.partitioner();
+          return core::BlendPairMeasure(measure, rho, value,
+                                        shards_[p.shard_of(e.u)].rolling_stats()[p.local_id(e.u)],
+                                        shards_[p.shard_of(e.v)].rolling_stats()[p.local_id(e.v)]);
+        }};
   }
-  if (options.method != QueryMethod::kAuto) {
-    ExecutedPlan explicit_plan;
-    explicit_plan.method = options.method;
-    explicit_plan.rationale = "explicitly requested " +
-                              std::string(core::QueryMethodName(options.method)) +
-                              " per shard; scatter-gather over " +
-                              std::to_string(shards_.size()) + " shards";
-    return explicit_plan;
-  }
-  // Shard-aware auto dispatch: capabilities every shard can serve, per-
-  // shard dimensions, and the cross-pair surcharge via the Topology.
-  QueryPlanner::Capabilities caps{true, true, true};
-  std::size_t max_n = 0;
-  for (const core::StreamingAffinity& shard : shards_) {
-    const QueryPlanner::Capabilities c = shard.framework()->engine().Capabilities();
-    caps.has_model = caps.has_model && c.has_model;
-    caps.has_scape = caps.has_scape && c.has_scape;
-    caps.has_dft = caps.has_dft && c.has_dft;
-    max_n = std::max(max_n, shard.framework()->data().n());
-  }
-  const QueryPlanner::Topology topology{shards_.size(),
-                                        router_.partitioner().cross_pair_count(),
-                                        cross_cache_.StampedCount(cross_generation_)};
-  const QueryPlanner planner(max_n, options_.streaming.window, caps, topology);
-  return plan(planner);
-}
-
-StatusOr<std::vector<double>> ShardedAffinity::CrossPairValues(Measure measure,
-                                                               bool blend) const {
-  const std::vector<ts::SequencePair>& cross = router_.cross_pairs();
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  const std::size_t window = options_.streaming.window;
-  const auto resolve = [&](const ts::SequencePair e) {
-    const core::StreamingAffinity& su = shards_[partitioner.shard_of(e.u)];
-    const core::StreamingAffinity& sv = shards_[partitioner.shard_of(e.v)];
-    return CrossPair{e, su.framework()->data().ColumnData(partitioner.local_id(e.u)),
-                     sv.framework()->data().ColumnData(partitioner.local_id(e.v))};
-  };
-
-  // Warm watched pairs answer from their stamped co-moments — zero raw
-  // column scans; everything else goes through the marginal-hoisted sweep,
-  // whose per-pair moments re-fill the cache. The freshness blend bypasses
-  // the cache (it sweeps twice over the same snapshot anyway).
-  std::vector<double> values(cross.size());
-  const bool use_cache = !blend && cross_cache_.enabled();
-  std::vector<std::size_t> swept;  // cross indices needing the raw sweep
-  if (use_cache) {
-    swept.reserve(cross.size());
-    for (std::size_t i = 0; i < cross.size(); ++i) {
-      core::PairMoments pm;
-      if (cross_cache_.Lookup(i, cross_generation_, &pm)) {
-        auto value = core::PairMeasureFromMoments(measure, pm);
-        if (!value.ok()) return value.status();
-        values[i] = *value;
-      } else {
-        swept.push_back(i);
-      }
-    }
-  } else {
-    swept.resize(cross.size());
-    for (std::size_t i = 0; i < cross.size(); ++i) swept[i] = i;
-  }
-
-  std::vector<CrossPair> resolved(swept.size());
-  for (std::size_t j = 0; j < swept.size(); ++j) resolved[j] = resolve(cross[swept[j]]);
-  if (!resolved.empty()) {
-    std::vector<core::PairMoments> moments;
-    AFFINITY_ASSIGN_OR_RETURN(
-        const std::vector<double> swept_values,
-        core::EvaluateCrossPairs(measure, resolved, window, exec_,
-                                 use_cache ? &moments : nullptr, &cross_sweep_stats_,
-                                 SnapshotAnchor()));
-    for (std::size_t j = 0; j < swept.size(); ++j) {
-      values[swept[j]] = swept_values[j];
-      if (use_cache) cross_cache_.Store(swept[j], cross_generation_, moments[j]);
-    }
-  }
-  if (!blend || measure == Measure::kCorrelation) return values;
-  // Blend: snapshot correlation carries the structure, live rolling
-  // moments the marginals (same semantics as the per-shard blend). In
-  // blend mode `resolved` covers every cross pair, index-aligned.
-  AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> rhos,
-                            core::EvaluateCrossPairs(Measure::kCorrelation, resolved, window,
-                                                     exec_, nullptr, &cross_sweep_stats_,
-                                                     SnapshotAnchor()));
-  for (std::size_t i = 0; i < cross.size(); ++i) {
-    const ts::SequencePair e = cross[i];
-    const ts::RollingStats& ru =
-        shards_[partitioner.shard_of(e.u)].rolling_stats()[partitioner.local_id(e.u)];
-    const ts::RollingStats& rv =
-        shards_[partitioner.shard_of(e.v)].rolling_stats()[partitioner.local_id(e.v)];
-    values[i] = core::BlendPairMeasure(measure, rhos[i], values[i], ru, rv);
-  }
-  return values;
-}
-
-double ShardedAffinity::GlobalQualityScore(ts::SeriesId global) const {
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  const std::vector<double>& scores = shards_[partitioner.shard_of(global)].quality_scores();
-  const ts::SeriesId local = partitioner.local_id(global);
-  return local < scores.size() ? scores[local] : 1.0;
-}
-
-StatusOr<ShardedSelection> ShardedAffinity::SelectAcrossShards(
-    Measure measure, bool (*keep)(double, double, double), double a, double b,
-    double min_quality, const std::function<core::PlanChoice(const QueryPlanner&)>& plan,
-    const std::function<StatusOr<core::SelectionResult>(
-        const core::StreamingAffinity&, const FreshnessOptions&, FreshnessReport*)>& shard_query,
-    const FreshnessOptions& options) const {
-  AFFINITY_ASSIGN_OR_RETURN(ExecutedPlan resolved, ResolveShardPlan(plan, options));
-  ShardedSelection out;
-  out.shards = Freshness(options);
-  FreshnessOptions per_shard = options;
-  if (options.method == QueryMethod::kAuto) per_shard.method = resolved.method;
-
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  const bool location = core::IsLocation(measure);
-  const std::size_t n_shards = shards_.size();
-  // One chunk per shard, like Append: per-shard index scans run
-  // concurrently on the pool; every write below is shard-disjoint.
-  std::vector<std::vector<ts::SeriesId>> series_runs(n_shards);
-  std::vector<std::vector<ts::SequencePair>> pair_runs(n_shards);
-  std::vector<core::PruneStats> prunes(n_shards);
-  std::vector<core::AnswerQuality> qualities(n_shards);
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec_, n_shards, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t s = lo; s < hi; ++s) {
-          FreshnessReport report;
-          AFFINITY_ASSIGN_OR_RETURN(core::SelectionResult r,
-                                    shard_query(shards_[s], per_shard, &report));
-          out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
-          prunes[s] = r.prune;
-          qualities[s] = r.quality;
-          if (location) {
-            for (ts::SeriesId& v : r.series) v = partitioner.global_id(s, v);
-            std::sort(r.series.begin(), r.series.end());
-            series_runs[s] = std::move(r.series);
-          } else {
-            for (ts::SequencePair& e : r.pairs) {
-              e = ts::SequencePair(partitioner.global_id(s, e.u), partitioner.global_id(s, e.v));
-            }
-            std::sort(r.pairs.begin(), r.pairs.end());
-            pair_runs[s] = std::move(r.pairs);
-          }
-        }
-        return Status::OK();
-      }));
-  for (const core::PruneStats& p : prunes) out.result.prune += p;
-  // The merged stamp: populated only when every shard answered with a
-  // quality surface; min over shard minima, exclusions summed (cross-pair
-  // exclusions added below).
-  core::AnswerQuality merged;
-  merged.populated = n_shards > 0;
-  for (const core::AnswerQuality& q : qualities) {
-    merged.populated = merged.populated && q.populated;
-    merged.min_score = std::min(merged.min_score, q.min_score);
-    merged.excluded += q.excluded;
-  }
-  if (!location && n_shards > 1) {
-    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossPairValues(measure, NeedsBlend(options)));
-    const std::vector<ts::SequencePair>& cross = router_.cross_pairs();
-    std::vector<ts::SequencePair> kept;
-    for (std::size_t i = 0; i < cross.size(); ++i) {
-      if (!keep(values[i], a, b)) continue;
-      // No shard model covers a cross pair, so its quality predicate runs
-      // here, against each endpoint's shard-local surface — same
-      // conjunctive semantics as QueryEngine's post-filter.
-      const double su = GlobalQualityScore(cross[i].u);
-      const double sv = GlobalQualityScore(cross[i].v);
-      if (min_quality > 0.0 && (su < min_quality || sv < min_quality)) {
-        ++merged.excluded;
-        continue;
-      }
-      if (merged.populated) merged.min_score = std::min(merged.min_score, std::min(su, sv));
-      kept.push_back(cross[i]);
-    }
-    pair_runs.push_back(std::move(kept));  // already lex-sorted
-  }
-  if (location) {
-    out.result.series = MergeSortedRuns(series_runs, std::less<ts::SeriesId>{});
-  } else {
-    out.result.pairs = MergeSortedRuns(pair_runs, std::less<ts::SequencePair>{});
-  }
-  out.result.quality = merged;
-  if (min_quality > 0.0) {
-    core::AnnotateQualityFiltered(&resolved, min_quality, merged.excluded);
-  }
-  out.result.plan = std::move(resolved);
-  return out;
+  return live;
 }
 
 StatusOr<ShardedSelection> ShardedAffinity::Met(const core::MetRequest& request,
                                                 const FreshnessOptions& options) const {
-  return SelectAcrossShards(
-      request.measure, request.greater ? core::KeepGreater : core::KeepLesser, request.tau, 0.0,
-      request.min_quality,
-      [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); },
-      [&](const core::StreamingAffinity& shard, const FreshnessOptions& per_shard,
-          FreshnessReport* report) { return shard.Met(request, per_shard, report); },
-      options);
+  AFFINITY_ASSIGN_OR_RETURN(const auto snap, Epoch());
+  ShardedSelection out;
+  out.shards = Freshness(options);
+  AFFINITY_ASSIGN_OR_RETURN(
+      out.result,
+      GatherMet(
+          *snap, request, options.method,
+          [&](std::size_t s, QueryMethod method) {
+            FreshnessReport report;
+            auto r = shards_[s].Met(request, PerShard(options, method), &report);
+            out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
+            return r;
+          },
+          LiveGather(request.measure, options)));
+  return out;
 }
 
 StatusOr<ShardedSelection> ShardedAffinity::Mer(const core::MerRequest& request,
                                                 const FreshnessOptions& options) const {
+  // Checked ahead of readiness, like the unsharded stream.
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
-  return SelectAcrossShards(
-      request.measure, core::KeepInside, request.lo, request.hi, request.min_quality,
-      [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
-      [&](const core::StreamingAffinity& shard, const FreshnessOptions& per_shard,
-          FreshnessReport* report) { return shard.Mer(request, per_shard, report); },
-      options);
+  AFFINITY_ASSIGN_OR_RETURN(const auto snap, Epoch());
+  ShardedSelection out;
+  out.shards = Freshness(options);
+  AFFINITY_ASSIGN_OR_RETURN(
+      out.result,
+      GatherMer(
+          *snap, request, options.method,
+          [&](std::size_t s, QueryMethod method) {
+            FreshnessReport report;
+            auto r = shards_[s].Mer(request, PerShard(options, method), &report);
+            out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
+            return r;
+          },
+          LiveGather(request.measure, options)));
+  return out;
 }
 
 StatusOr<ShardedTopK> ShardedAffinity::TopK(const core::TopKRequest& request,
                                             const FreshnessOptions& options) const {
-  AFFINITY_ASSIGN_OR_RETURN(
-      ExecutedPlan plan,
-      ResolveShardPlan(
-          [&](const QueryPlanner& planner) {
-            return planner.PlanTopK(request.measure, request.k);
-          },
-          options));
+  AFFINITY_ASSIGN_OR_RETURN(const auto snap, Epoch());
   ShardedTopK out;
   out.shards = Freshness(options);
-  FreshnessOptions per_shard = options;
-  if (options.method == QueryMethod::kAuto) per_shard.method = plan.method;
-
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  std::vector<ScapeTopKResult> runs(shards_.size());
-  std::vector<core::AnswerQuality> qualities(shards_.size());
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec_, shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t s = lo; s < hi; ++s) {
-          FreshnessReport report;
-          AFFINITY_ASSIGN_OR_RETURN(core::TopKResult r,
-                                    shards_[s].TopK(request, per_shard, &report));
-          out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
-          qualities[s] = r.quality;
-          for (ScapeTopKEntry& entry : r.entries) {
-            if (entry.has_series()) {
-              entry.series = partitioner.global_id(s, entry.series);
-            } else {
-              entry.pair = ts::SequencePair(partitioner.global_id(s, entry.pair.u),
-                                            partitioner.global_id(s, entry.pair.v));
-            }
-          }
-          runs[s] = std::move(r);
-        }
-        return Status::OK();
-      }));
-  core::AnswerQuality merged;
-  merged.populated = !shards_.empty();
-  for (const core::AnswerQuality& q : qualities) {
-    merged.populated = merged.populated && q.populated;
-    merged.excluded += q.excluded;
-  }
-  if (!core::IsLocation(request.measure) && shards_.size() > 1) {
-    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossPairValues(request.measure, NeedsBlend(options)));
-    const std::vector<ts::SequencePair>& cross = router_.cross_pairs();
-    ScapeTopKResult cross_run;
-    cross_run.entries.reserve(cross.size());
-    for (std::size_t i = 0; i < cross.size(); ++i) {
-      // Cross pairs compete only when both endpoints satisfy the quality
-      // predicate (per-shard answers already restricted their own
-      // competition).
-      if (request.min_quality > 0.0 &&
-          (GlobalQualityScore(cross[i].u) < request.min_quality ||
-           GlobalQualityScore(cross[i].v) < request.min_quality)) {
-        ++merged.excluded;
-        continue;
-      }
-      cross_run.entries.push_back(ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
-    }
-    const std::size_t k = std::min(request.k, cross_run.entries.size());
-    const auto before = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-      return core::TopKBefore(a, b, request.largest);
-    };
-    std::partial_sort(cross_run.entries.begin(),
-                      cross_run.entries.begin() + static_cast<long>(k), cross_run.entries.end(),
-                      before);
-    cross_run.entries.resize(k);
-    cross_run.examined = cross.size();
-    runs.push_back(std::move(cross_run));
-  }
-  static_cast<ScapeTopKResult&>(out.result) = core::MergeTopK(runs, request.k, request.largest);
-  if (merged.populated) {
-    // Exact stamp over the entries that actually survived the merge.
-    for (const ScapeTopKEntry& e : out.result.entries) {
-      if (e.has_series()) {
-        merged.min_score = std::min(merged.min_score, GlobalQualityScore(e.series));
-      } else {
-        merged.min_score = std::min(merged.min_score,
-                                    std::min(GlobalQualityScore(e.pair.u),
-                                             GlobalQualityScore(e.pair.v)));
-      }
-    }
-  }
-  out.result.quality = merged;
-  if (request.min_quality > 0.0) {
-    core::AnnotateQualityFiltered(&plan, request.min_quality, merged.excluded);
-  }
-  out.result.plan = std::move(plan);
+  AFFINITY_ASSIGN_OR_RETURN(
+      out.result,
+      GatherTopK(
+          *snap, request, options.method,
+          [&](std::size_t s, QueryMethod method) {
+            FreshnessReport report;
+            auto r = shards_[s].TopK(request, PerShard(options, method), &report);
+            out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
+            return r;
+          },
+          LiveGather(request.measure, options)));
   return out;
 }
 
 StatusOr<ShardedMec> ShardedAffinity::Mec(const core::MecRequest& request,
                                           const FreshnessOptions& options) const {
-  AFFINITY_ASSIGN_OR_RETURN(
-      ExecutedPlan plan,
-      ResolveShardPlan(
-          [&](const QueryPlanner& planner) {
-            return planner.PlanMec(request.measure, request.ids.size());
-          },
-          options));
-  if (request.ids.empty()) return Status::InvalidArgument("MEC requires a non-empty id set");
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  for (const ts::SeriesId id : request.ids) {
-    if (id >= partitioner.n()) {
-      return Status::OutOfRange("series id " + std::to_string(id) + " out of range (n=" +
-                                std::to_string(partitioner.n()) + ")");
-    }
-  }
+  AFFINITY_ASSIGN_OR_RETURN(const auto snap, Epoch());
   ShardedMec out;
   out.shards = Freshness(options);
-  FreshnessOptions per_shard = options;
-  if (options.method == QueryMethod::kAuto) per_shard.method = plan.method;
-
-  // Slice the request per shard, remembering each id's request position.
-  std::vector<std::vector<std::size_t>> positions(shards_.size());
-  std::vector<core::MecRequest> slices(shards_.size());
-  for (std::size_t i = 0; i < request.ids.size(); ++i) {
-    const std::size_t s = partitioner.shard_of(request.ids[i]);
-    positions[s].push_back(i);
-    slices[s].measure = request.measure;
-    slices[s].min_quality = request.min_quality;
-    slices[s].ids.push_back(partitioner.local_id(request.ids[i]));
-  }
-
-  const std::size_t count = request.ids.size();
-  const bool location = core::IsLocation(request.measure);
-  if (location) {
-    out.response.location = la::Vector(count);
-  } else {
-    out.response.pair_values = la::Matrix(count, count);
-  }
-  // One chunk per shard (writes are shard-disjoint request positions).
-  std::vector<core::AnswerQuality> qualities(shards_.size());
-  std::vector<char> sliced(shards_.size(), 0);
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec_, shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t s = lo; s < hi; ++s) {
-          if (slices[s].ids.empty()) continue;
-          FreshnessReport report;
-          AFFINITY_ASSIGN_OR_RETURN(core::MecResponse r,
-                                    shards_[s].Mec(slices[s], per_shard, &report));
-          out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
-          qualities[s] = r.quality;
-          sliced[s] = 1;
-          if (location) {
-            for (std::size_t t = 0; t < positions[s].size(); ++t) {
-              out.response.location[positions[s][t]] = r.location[t];
-            }
-          } else {
-            for (std::size_t a = 0; a < positions[s].size(); ++a) {
-              for (std::size_t b = 0; b < positions[s].size(); ++b) {
-                out.response.pair_values(positions[s][a], positions[s][b]) = r.pair_values(a, b);
-              }
-            }
-          }
-        }
-        return Status::OK();
-      }));
-  if (!location) {
-    // Cross-shard cells: resolve each requested (i, j) spanning two shards
-    // against the aligned snapshots and evaluate naively (blended when the
-    // staleness bound trips). Warm watched pairs answer from their cached
-    // co-moments instead — the router's cross list is lex-sorted, so each
-    // cell's cross index resolves by binary search.
-    const bool blend = NeedsBlend(options);
-    const bool use_cache = !blend && cross_cache_.enabled();
-    const std::vector<ts::SequencePair>& cross = router_.cross_pairs();
-    std::vector<CrossPair> resolved;
-    std::vector<std::pair<std::size_t, std::size_t>> cells;
-    std::vector<std::size_t> cell_cross_index;  // aligned with cells; for Store
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t j = i + 1; j < count; ++j) {
-        if (partitioner.shard_of(request.ids[i]) == partitioner.shard_of(request.ids[j])) {
-          continue;
-        }
-        const ts::SeriesId u = request.ids[i];
-        const ts::SeriesId v = request.ids[j];
-        const ts::SequencePair e(u, v);
-        const auto it = std::lower_bound(cross.begin(), cross.end(), e);
-        const std::size_t cross_index = static_cast<std::size_t>(it - cross.begin());
-        if (use_cache) {
-          core::PairMoments pm;
-          if (cross_cache_.Lookup(cross_index, cross_generation_, &pm)) {
-            AFFINITY_ASSIGN_OR_RETURN(const double value,
-                                      core::PairMeasureFromMoments(request.measure, pm));
-            out.response.pair_values(i, j) = value;
-            out.response.pair_values(j, i) = value;
-            continue;
-          }
-        }
-        const core::StreamingAffinity& su = shards_[partitioner.shard_of(u)];
-        const core::StreamingAffinity& sv = shards_[partitioner.shard_of(v)];
-        resolved.push_back(
-            CrossPair{e, su.framework()->data().ColumnData(partitioner.local_id(u)),
-                      sv.framework()->data().ColumnData(partitioner.local_id(v))});
-        cells.emplace_back(i, j);
-        cell_cross_index.push_back(cross_index);
-      }
-    }
-    if (!resolved.empty()) {
-      const std::size_t window = options_.streaming.window;
-      std::vector<core::PairMoments> moments;
-      AFFINITY_ASSIGN_OR_RETURN(
-          std::vector<double> values,
-          core::EvaluateCrossPairs(request.measure, resolved, window, exec_,
-                                   use_cache ? &moments : nullptr, &cross_sweep_stats_,
-                                   SnapshotAnchor()));
-      if (use_cache) {
-        for (std::size_t idx = 0; idx < resolved.size(); ++idx) {
-          cross_cache_.Store(cell_cross_index[idx], cross_generation_, moments[idx]);
-        }
-      }
-      if (blend && request.measure != Measure::kCorrelation) {
-        AFFINITY_ASSIGN_OR_RETURN(
-            const std::vector<double> rhos,
-            core::EvaluateCrossPairs(Measure::kCorrelation, resolved, window, exec_, nullptr,
-                                     &cross_sweep_stats_, SnapshotAnchor()));
-        for (std::size_t idx = 0; idx < resolved.size(); ++idx) {
-          const ts::SeriesId u = request.ids[cells[idx].first];
-          const ts::SeriesId v = request.ids[cells[idx].second];
-          const ts::RollingStats& ru =
-              shards_[partitioner.shard_of(u)].rolling_stats()[partitioner.local_id(u)];
-          const ts::RollingStats& rv =
-              shards_[partitioner.shard_of(v)].rolling_stats()[partitioner.local_id(v)];
-          values[idx] = core::BlendPairMeasure(request.measure, rhos[idx], values[idx], ru, rv);
-        }
-      }
-      for (std::size_t idx = 0; idx < cells.size(); ++idx) {
-        out.response.pair_values(cells[idx].first, cells[idx].second) = values[idx];
-        out.response.pair_values(cells[idx].second, cells[idx].first) = values[idx];
-      }
-    }
-  }
-  // Merged stamp over the shards the request actually touched (every id
-  // lands in exactly one slice, and each slice already enforced the
-  // FailedPrecondition contract for its ids).
-  core::AnswerQuality merged;
-  merged.populated = true;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!sliced[s]) continue;
-    merged.populated = merged.populated && qualities[s].populated;
-    merged.min_score = std::min(merged.min_score, qualities[s].min_score);
-    merged.excluded += qualities[s].excluded;
-  }
-  out.response.quality = merged;
-  out.response.plan = std::move(plan);
+  AFFINITY_ASSIGN_OR_RETURN(
+      out.response,
+      GatherMec(
+          *snap, request, options.method,
+          [&](std::size_t s, const core::MecRequest& slice, QueryMethod method) {
+            FreshnessReport report;
+            auto r = shards_[s].Mec(slice, PerShard(options, method), &report);
+            out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
+            return r;
+          },
+          LiveGather(request.measure, options)));
   return out;
 }
 
@@ -930,8 +469,6 @@ Status ShardedAffinity::Save(const std::string& path) const {
   WriteU64(out, options_.streaming.incremental.exact_refit_period);
   WriteF64(out, options_.streaming.incremental.escalation_factor);
   WriteF64(out, options_.streaming.incremental.escalation_slack);
-  WriteU64(out, options_.cross_cache.budget);
-  WriteU64(out, options_.cross_cache.exact_resync_period);
   // One model payload per shard (serialize.h framing).
   for (const core::StreamingAffinity& shard : shards_) {
     AFFINITY_RETURN_IF_ERROR(core::WriteModelStream(shard.framework()->model(), out));
@@ -958,7 +495,10 @@ StatusOr<ShardedAffinity> ShardedAffinity::Load(const std::string& path, std::si
   std::uint64_t n = 0;
   std::uint32_t scheme_raw = 0;
   if (!ReadU64(in, &shards) || !ReadU64(in, &n) || !ReadU32(in, &scheme_raw) || shards == 0 ||
-      shards > (1u << 20) || n > (1u << 28) || scheme_raw > 1) {
+      shards > (1u << 20) || n > (1u << 28) || scheme_raw > 1 ||
+      n > UnreadBytes(in) / sizeof(std::uint32_t)) {
+    // The assignment table is sized from `n` before a byte of it is read,
+    // so `n` must fit in what the file still holds.
     return Status::InvalidArgument("'" + path + "': corrupt shard manifest header");
   }
   std::vector<std::uint32_t> assignment(n);
@@ -1016,15 +556,13 @@ StatusOr<ShardedAffinity> ShardedAffinity::Load(const std::string& path, std::si
   options.streaming.build.dft_coefficients = static_cast<std::size_t>(dft_coefficients);
   incremental.exact_refit_period = static_cast<std::size_t>(refit_period);
   options.streaming.incremental = incremental;
-  if (version >= 2) {
-    std::uint64_t cache_budget = 0;
-    std::uint64_t cache_resync = 0;
-    if (!ReadU64(in, &cache_budget) || !ReadU64(in, &cache_resync) || cache_resync == 0) {
+  if (version == 2) {
+    // The removed cross-pair cache's budget and resync period.
+    std::uint64_t discarded = 0;
+    if (!ReadU64(in, &discarded) || !ReadU64(in, &discarded)) {
       return Status::InvalidArgument("'" + path + "': corrupt cross-cache section");
     }
-    options.cross_cache.budget = static_cast<std::size_t>(cache_budget);
-    options.cross_cache.exact_resync_period = static_cast<std::size_t>(cache_resync);
-  }  // v1: pre-cache manifests keep the CrossCacheOptions defaults.
+  }
   options.streaming.build.threads = threads;
 
   AFFINITY_ASSIGN_OR_RETURN(
@@ -1052,25 +590,11 @@ StatusOr<ShardedAffinity> ShardedAffinity::Load(const std::string& path, std::si
     service.shards_.push_back(std::move(stream));
   }
   service.append_results_.resize(options.shards);
-  // The co-moment cache restores cold (the manifest carries no rings):
-  // its stamps stay invalid until a full window of appends has been
-  // observed and a lockstep refresh stamps it.
-  service.cross_cache_ = CrossMomentCache(service.router_.cross_pairs(),
-                                          options.streaming.window, options.cross_cache);
-  // Restore-ordering audit (ISSUE 5): the restored snapshots form a real
-  // generation, so the router's counter must not sit at the cache's
-  // never-stamped sentinel 0 — a Lookup/Store at 0 would alias every
-  // Invalidate()d entry (now also CHECKed inside the cache). Starting at
-  // 1 makes post-restore sweeps legal miss-fills: the first query misses
-  // (nothing is stamped), re-fills at generation 1, and repeats serve
-  // warm until the next lockstep refresh advances the generation.
-  service.cross_generation_ = 1;
   // Logical row numbering restarts at `window` (each restored shard's
   // resident window is its whole history).
   service.rows_ = options.streaming.window;
   // First router epoch: the restored shard snapshots form generation 1
-  // (every restored shard published in Restore), with an all-cold cross
-  // view — serve sweeps fill in until the first lockstep refresh.
+  // (every restored shard published in Restore).
   service.PublishRouterSnapshot();
   return service;
 }

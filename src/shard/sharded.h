@@ -11,22 +11,25 @@
 /// append — including any due snapshot refresh — concurrently over one
 /// shared thread pool. Shards refresh in lockstep (same window/interval,
 /// aligned rows), so all shard snapshots always cover the same logical
-/// trailing window.
+/// trailing window, and every lockstep refresh publishes one
+/// `RouterSnapshot` epoch (shard_serve.h).
 ///
-/// **Queries.** MET/MER/MEC/top-k run scatter-gather: the shard-aware
-/// planner (`QueryPlanner::Topology`) resolves one strategy, every shard
-/// answers over its own model/index (`StreamingAffinity` freshness
-/// queries), and the router adds the pairs no shard can see — pairs
-/// spanning two shards — by evaluating them naively over the aligned
-/// shard snapshots (`core::EvaluateCrossPairs`). Results merge by k-way
-/// heap merge (`core::MergeTopK` for top-k; sorted-run merges for
-/// selections), making the merged answer identical to an unsharded
-/// instance over the same data (asserted in tests at 1/2/8 shards).
+/// **Queries.** MET/MER/MEC/top-k run the one scatter-gather of
+/// shard_serve.h over the current epoch: the shard-aware planner
+/// (`QueryPlanner::Topology`) resolves one strategy, every shard answers
+/// over its own model/index (`StreamingAffinity` freshness queries), and
+/// the gather adds the pairs no shard can see — pairs spanning two shards
+/// — by evaluating them naively over the epoch's shard snapshot columns
+/// (`core::EvaluateCrossPairs`). Results merge by k-way heap merge
+/// (`core::MergeTopK` for top-k; sorted-run merges for selections),
+/// making the merged answer identical to an unsharded instance over the
+/// same data (asserted in tests at 1/2/8 shards).
 ///
 /// **Freshness.** `FreshnessOptions::max_staleness` bounds the snapshot
 /// age an answer may reflect; shards older than the bound blend live
-/// rolling marginals into their answers (streaming.h), and the response
-/// reports every shard's actual snapshot age.
+/// rolling marginals into their answers (streaming.h), the gather blends
+/// the cross pairs the same way, and the response reports every shard's
+/// actual snapshot age.
 ///
 /// The single-instance deployment is exactly the N = 1 case: one shard,
 /// no cross pairs, every query a pure pass-through.
@@ -41,7 +44,6 @@
 #include "core/streaming.h"
 #include "serve/serving_snapshot.h"
 #include "ts/ingest.h"
-#include "shard/cross_cache.h"
 #include "shard/partitioner.h"
 #include "shard/shard_serve.h"
 
@@ -57,13 +59,6 @@ struct ShardedOptions {
   /// the single router-owned pool all shards share (1 = sequential, 0 =
   /// one per hardware thread).
   core::StreamingOptions streaming;
-  /// Cross-shard co-moment watch-list (cross_cache.h): rolling co-moments
-  /// for the first `cross_cache.budget` cross pairs, so repeated warm
-  /// MET/MER/top-k queries skip their raw cross sweep entirely. Off by
-  /// default (budget 0): cached values are rolled accumulators, identical
-  /// to the raw sweep only to the documented round-off tolerance
-  /// (DESIGN.md §10), so enabling is an explicit opt-in.
-  CrossCacheOptions cross_cache;
 };
 
 /// Per-shard freshness attached to every scatter-gather answer.
@@ -91,40 +86,38 @@ struct ShardedTopK {
   std::vector<ShardFreshness> shards;
 };
 
-/// Owns the partition and the scatter/gather id plumbing: reusable
-/// per-shard row buffers for ingest and the precomputed cross-shard pair
-/// list for queries.
+/// Owns the routing tables and the reusable per-shard row buffers of
+/// ingest.
 class ShardRouter {
  public:
   explicit ShardRouter(SeriesPartitioner partitioner);
 
-  const SeriesPartitioner& partitioner() const { return partitioner_; }
+  const SeriesPartitioner& partitioner() const { return routing_->partitioner; }
+
+  /// The routing tables every published epoch shares.
+  const std::shared_ptr<const RoutingTables>& routing() const { return routing_; }
 
   /// Scatters one global row into per-shard rows. The returned reference
   /// aliases internal buffers reused on every call — valid until the next
   /// Scatter (the allocation-free append hot path).
   const std::vector<std::vector<double>>& Scatter(const std::vector<double>& row);
 
-  /// Every sequence pair spanning two shards, (u, v)-lex order in global
-  /// ids; precomputed once at construction.
-  const std::vector<ts::SequencePair>& cross_pairs() const { return cross_pairs_; }
-
  private:
-  SeriesPartitioner partitioner_;
+  std::shared_ptr<const RoutingTables> routing_;
   std::vector<std::vector<double>> scatter_;
-  std::vector<ts::SequencePair> cross_pairs_;
 };
 
 /// The sharded ingest-and-query service. Movable, not copyable.
 ///
 /// Concurrency contract (DESIGN.md §13): single-writer, multi-reader.
-/// Append/Rebuild/Load and the lockstep refresh they drive — including
-/// every CrossMomentCache access — run on one writer thread; shard
-/// fan-out inside a refresh goes through the internally synchronized
-/// ThreadPool and joins before the call returns. Queries service from
-/// the last published RouterSnapshot via the internally synchronized
-/// EpochPublisher; no query ever reads the live shards, so the writer
-/// needs no lock of its own.
+/// Append/Rebuild/Load, the lockstep refresh they drive, and this class's
+/// own Met/Mer/Mec/TopK run on one writer thread — the queries read live
+/// shard state (freshness, quality surfaces, rolling marginals, the live
+/// engines). Shard fan-out goes through the internally synchronized
+/// ThreadPool and joins before the call returns. Concurrent readers use
+/// `serving()` plus `RouterMet`/`RouterMer`/`RouterMec`/`RouterTopK`,
+/// which read only the published epoch via the internally synchronized
+/// EpochPublisher, so the writer needs no lock of its own.
 class ShardedAffinity {
  public:
   /// Creates N shards over the named series. Status errors (never crashes)
@@ -173,18 +166,10 @@ class ShardedAffinity {
   /// concurrently; residual levels averaged).
   core::MaintenanceProfile maintenance() const;
 
-  /// Co-moment cache accounting (zeros when the cache is disabled).
-  const CrossCacheStats& cross_cache_stats() const { return cross_cache_.stats(); }
-
-  /// Raw-scan accounting of every cross-pair sweep this service ran —
-  /// on a warm cache, repeated MET/MER/top-k queries add zero pair scans
-  /// for watched pairs (the bench_streaming acceptance counter).
-  const core::CrossSweepStats& cross_sweep_stats() const { return cross_sweep_stats_; }
-
   /// The current router serving snapshot (DESIGN.md §11): an immutable
-  /// epoch bundling every shard's serving replica plus the frozen cross
-  /// co-moment view, republished on every lockstep refresh, rebuild, and
-  /// restore. Safe to read from any thread concurrently with Append —
+  /// epoch bundling every shard's serving replica with the routing
+  /// tables, republished on every lockstep refresh, rebuild, and restore.
+  /// Safe to read from any thread concurrently with Append —
   /// the returned shared_ptr keeps the whole epoch alive for the
   /// caller's query (RouterMet/RouterMer/RouterMec/RouterTopK). nullptr
   /// before the first refresh.
@@ -206,7 +191,11 @@ class ShardedAffinity {
   /// Forces a full rebuild of every shard (concurrently).
   Status Rebuild();
 
-  // --- Scatter-gather queries (global ids) --------------------------------
+  // --- Scatter-gather queries (global ids; writer thread) -----------------
+  //
+  // The shard_serve.h gather over the current epoch, each shard answered
+  // by its live StreamingAffinity. FailedPrecondition before the first
+  // lockstep refresh.
 
   StatusOr<ShardedMec> Mec(const core::MecRequest& request,
                            const core::FreshnessOptions& options = {}) const;
@@ -248,60 +237,32 @@ class ShardedAffinity {
   /// Builds the per-shard streams (used by Create and Load).
   Status InitShards(const std::vector<std::string>& names);
 
-  /// The globally resolved plan for a sharded query: per-shard strategy
-  /// from the shard-aware planner (Topology carries shard count and cross
-  /// pairs). FailedPrecondition before the first refresh.
-  StatusOr<core::ExecutedPlan> ResolveShardPlan(
-      const std::function<core::PlanChoice(const core::QueryPlanner&)>& plan,
-      const core::FreshnessOptions& options) const;
+  /// The current epoch; FailedPrecondition before the first lockstep
+  /// refresh.
+  StatusOr<std::shared_ptr<const RouterSnapshot>> Epoch() const;
 
   /// True when the staleness bound demands blending: the *oldest* shard
-  /// snapshot exceeds it. The single gate shared by plan resolution and
-  /// the cross-shard sweep, so a lone stale shard can never leak raw
-  /// snapshot values into an answer stamped as blended.
+  /// snapshot exceeds it. The single gate for the blended plan and the
+  /// cross-pair blend, so a lone stale shard can never leak raw snapshot
+  /// values into an answer stamped as blended.
   bool NeedsBlend(const core::FreshnessOptions& options) const;
 
-  /// The shared MET/MER gather: per-shard selections run concurrently on
-  /// the pool (`shard_query` invokes one shard's Met/Mer), local ids are
-  /// rewritten to global, the cross-shard sweep applies `keep(value, a,
-  /// b)` plus the `min_quality` predicate (each endpoint's score read from
-  /// its shard's live quality surface), and the sorted runs k-way merge.
-  StatusOr<ShardedSelection> SelectAcrossShards(
-      core::Measure measure, bool (*keep)(double, double, double), double a, double b,
-      double min_quality,
-      const std::function<core::PlanChoice(const core::QueryPlanner&)>& plan,
-      const std::function<StatusOr<core::SelectionResult>(
-          const core::StreamingAffinity&, const core::FreshnessOptions&,
-          core::FreshnessReport*)>& shard_query,
-      const core::FreshnessOptions& options) const;
+  /// The gather options of a live query: the shared pool, the shards'
+  /// quality surfaces, and — when `NeedsBlend` — the blended plan plus the
+  /// live-marginal blend of `measure`'s cross-pair values.
+  GatherOptions LiveGather(core::Measure measure, const core::FreshnessOptions& options) const;
 
-  /// Composite quality score of one global series id, read from its
-  /// shard's live surface (DESIGN.md §12) — the router-side lookup behind
-  /// cross-pair quality filtering and answer stamping.
-  double GlobalQualityScore(ts::SeriesId global) const;
-
-  /// Shared tail of Append/AppendMasked: aggregates `append_results_`,
-  /// rolls the cross epoch and republishes the router snapshot when a
-  /// lockstep refresh ran.
+  /// Shared tail of Append/AppendMasked: aggregates `append_results_` and
+  /// republishes the router snapshot when a lockstep refresh ran.
   core::AppendResult FinishAppend();
-
-  /// Values of every cross-shard pair (index-aligned with
-  /// router_.cross_pairs()): naive over the aligned shard snapshots, or
-  /// the live-marginal blend when `blend` is set.
-  StatusOr<std::vector<double>> CrossPairValues(core::Measure measure, bool blend) const;
 
   /// Collects per-shard freshness for a response.
   std::vector<ShardFreshness> Freshness(const core::FreshnessOptions& options) const;
 
-  /// The shard snapshots' shared block-grid anchor (lockstep refreshes
-  /// keep every shard on the same trailing window); 0 before readiness.
-  std::size_t SnapshotAnchor() const;
-
   /// Assembles and atomically publishes a fresh RouterSnapshot from the
-  /// shards' serving snapshots, the partitioner's routing tables, and the
-  /// cross cache's stamped co-moments. Called after every successful
-  /// lockstep refresh (Append), Rebuild, and Load; no-op before
-  /// readiness.
+  /// shards' serving snapshots and the shared routing tables. Called after
+  /// every successful lockstep refresh (Append), Rebuild, and Load; no-op
+  /// before readiness.
   void PublishRouterSnapshot();
 
   // Pool first: shards hold ExecContexts pointing at it (destroy last).
@@ -313,26 +274,10 @@ class ShardedAffinity {
   /// Reused per-append result buffer (allocation-free hot path).
   std::vector<core::AppendResult> append_results_;
   std::size_t rows_ = 0;
-  /// Cross-pair co-moment watch-list, rolled on every append, stamped on
-  /// every lockstep refresh, invalidated on escalation/rebuild/restore.
-  /// Mutable: queries fill misses and count hits (single-threaded at the
-  /// router surface, like the rest of the query path).
-  mutable CrossMomentCache cross_cache_;
-  /// Current snapshot generation (bumped per lockstep refresh). 0 = "no
-  /// snapshots yet", which is also the cache's never-stamped sentinel —
-  /// queries are gated on ready(), so the cache is never consulted at 0
-  /// (CHECKed in CrossMomentCache), and Load starts restored routers at 1.
-  std::uint64_t cross_generation_ = 0;
-  mutable core::CrossSweepStats cross_sweep_stats_;
+  /// Router epochs published so far (the next epoch's generation - 1).
+  std::uint64_t generation_ = 0;
   /// Epoch publication point for lock-free router serving (serving()).
   std::unique_ptr<serve::EpochPublisher<RouterSnapshot>> publisher_;
-  /// The cross co-moment view frozen at the last publish, shared with the
-  /// next epoch whenever the cache's mutation version has not moved —
-  /// then re-freezing would copy identical bytes (satellite fix: a
-  /// disabled or quiescent cache shares one immutable view across
-  /// epochs).
-  std::shared_ptr<const RouterSnapshot::CrossMomentView> last_cross_view_;
-  std::uint64_t last_cross_view_version_ = 0;
 };
 
 }  // namespace affinity::shard

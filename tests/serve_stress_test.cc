@@ -189,7 +189,6 @@ TEST(ServeStress, ShardedRoutersServeDuringContinuousSlides) {
   options.streaming.mode = core::UpdateMode::kIncremental;
   options.streaming.build.afclst.k = 2;
   options.streaming.build.build_dft = false;
-  options.cross_cache.budget = 8;
   auto service = ShardedAffinity::Create(Names(16), options);
   ASSERT_TRUE(service.ok());
   const ts::Dataset ds = TestData(16);

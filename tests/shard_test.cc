@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -270,38 +271,72 @@ TEST(Sharded, AnswersMatchUnshardedBaseline) {
       Feed(&*service, ds, 0, 120);
       ASSERT_TRUE(service->ready());
 
+      // Two answer sources: the service's own queries (writer thread, live
+      // shards) and the lock-free Router* readers over its current epoch.
       auto s_met = service->Met(met);
-      ASSERT_TRUE(s_met.ok());
-      EXPECT_EQ(Sorted(s_met->result.pairs), Sorted(base_met->pairs));
-
       auto s_mer = service->Mer(mer);
-      ASSERT_TRUE(s_mer.ok());
-      EXPECT_EQ(Sorted(s_mer->result.pairs), Sorted(base_mer->pairs));
-
       auto s_met_mean = service->Met(met_mean);
-      ASSERT_TRUE(s_met_mean.ok());
-      EXPECT_EQ(Sorted(s_met_mean->result.series), Sorted(base_met_mean->series));
-
       auto s_topk = service->TopK(topk);
-      ASSERT_TRUE(s_topk.ok());
-      ASSERT_EQ(s_topk->result.entries.size(), base_topk->entries.size());
-      // Same entity set, same order by value; values equal to a few ulps
-      // (per-shard WA and cross-shard WN round differently).
-      std::vector<ts::SequencePair> s_pairs;
-      std::vector<ts::SequencePair> b_pairs;
-      for (std::size_t i = 0; i < base_topk->entries.size(); ++i) {
-        s_pairs.push_back(s_topk->result.entries[i].pair);
-        b_pairs.push_back(base_topk->entries[i].pair);
-        EXPECT_NEAR(s_topk->result.entries[i].value, base_topk->entries[i].value, 1e-9);
-      }
-      EXPECT_EQ(Sorted(s_pairs), Sorted(b_pairs));
-
       auto s_mec = service->Mec(mec);
+      ASSERT_TRUE(s_met.ok());
+      ASSERT_TRUE(s_mer.ok());
+      ASSERT_TRUE(s_met_mean.ok());
+      ASSERT_TRUE(s_topk.ok());
       ASSERT_TRUE(s_mec.ok());
-      for (std::size_t i = 0; i < mec.ids.size(); ++i) {
-        for (std::size_t j = 0; j < mec.ids.size(); ++j) {
-          EXPECT_NEAR(s_mec->response.pair_values(i, j), base_mec->pair_values(i, j), 1e-9)
-              << "cell " << i << "," << j;
+      const auto snap = service->serving();
+      ASSERT_NE(snap, nullptr);
+      auto r_met = RouterMet(*snap, met);
+      auto r_mer = RouterMer(*snap, mer);
+      auto r_met_mean = RouterMet(*snap, met_mean);
+      auto r_topk = RouterTopK(*snap, topk);
+      auto r_mec = RouterMec(*snap, mec);
+      ASSERT_TRUE(r_met.ok());
+      ASSERT_TRUE(r_mer.ok());
+      ASSERT_TRUE(r_met_mean.ok());
+      ASSERT_TRUE(r_topk.ok());
+      ASSERT_TRUE(r_mec.ok());
+
+      const std::pair<const char*, const core::SelectionResult*> mets[] = {
+          {"service", &s_met->result}, {"router", &*r_met}};
+      for (const auto& [source, got] : mets) {
+        EXPECT_EQ(Sorted(got->pairs), Sorted(base_met->pairs)) << source;
+      }
+      const std::pair<const char*, const core::SelectionResult*> mers[] = {
+          {"service", &s_mer->result}, {"router", &*r_mer}};
+      for (const auto& [source, got] : mers) {
+        EXPECT_EQ(Sorted(got->pairs), Sorted(base_mer->pairs)) << source;
+      }
+      const std::pair<const char*, const core::SelectionResult*> means[] = {
+          {"service", &s_met_mean->result}, {"router", &*r_met_mean}};
+      for (const auto& [source, got] : means) {
+        EXPECT_EQ(Sorted(got->series), Sorted(base_met_mean->series)) << source;
+      }
+
+      const std::pair<const char*, const core::TopKResult*> topks[] = {
+          {"service", &s_topk->result}, {"router", &*r_topk}};
+      for (const auto& [source, got] : topks) {
+        SCOPED_TRACE(source);
+        ASSERT_EQ(got->entries.size(), base_topk->entries.size());
+        // Same entity set, same order by value; values equal to a few ulps
+        // (per-shard WA and cross-shard WN round differently).
+        std::vector<ts::SequencePair> s_pairs;
+        std::vector<ts::SequencePair> b_pairs;
+        for (std::size_t i = 0; i < base_topk->entries.size(); ++i) {
+          s_pairs.push_back(got->entries[i].pair);
+          b_pairs.push_back(base_topk->entries[i].pair);
+          EXPECT_NEAR(got->entries[i].value, base_topk->entries[i].value, 1e-9);
+        }
+        EXPECT_EQ(Sorted(s_pairs), Sorted(b_pairs));
+      }
+
+      const std::pair<const char*, const core::MecResponse*> mecs[] = {
+          {"service", &s_mec->response}, {"router", &*r_mec}};
+      for (const auto& [source, got] : mecs) {
+        for (std::size_t i = 0; i < mec.ids.size(); ++i) {
+          for (std::size_t j = 0; j < mec.ids.size(); ++j) {
+            EXPECT_NEAR(got->pair_values(i, j), base_mec->pair_values(i, j), 1e-9)
+                << source << " cell " << i << "," << j;
+          }
         }
       }
 
@@ -358,34 +393,35 @@ TEST(Sharded, TiedTopKMatchesUnshardedBaseline) {
           const TopKRequest req{measure, k, largest};
           auto base = baseline->TopK(req);
           auto sharded = service->TopK(req);
+          auto routed = RouterTopK(*service->serving(), req);
           ASSERT_TRUE(base.ok());
           ASSERT_TRUE(sharded.ok());
-          ASSERT_EQ(sharded->result.entries.size(), base->entries.size());
-          std::vector<ts::SequencePair> s_pairs;
-          std::vector<ts::SequencePair> b_pairs;
-          for (std::size_t i = 0; i < base->entries.size(); ++i) {
-            const core::ScapeTopKEntry& got = sharded->result.entries[i];
-            s_pairs.push_back(got.pair);
-            b_pairs.push_back(base->entries[i].pair);
-            // Per-shard propagation and the cross-shard sweep differ from
-            // the unsharded propagation by the affine fits' residue.
-            EXPECT_NEAR(got.value, base->entries[i].value,
-                        1e-7 * (1.0 + std::fabs(base->entries[i].value)))
-                << "rank " << i;
-            // Exact ties resolve by pair id on every path.
-            if (base->entries[i].value == 0.0) {
-              EXPECT_EQ(got.pair, base->entries[i].pair) << "rank " << i;
-              EXPECT_EQ(got.value, 0.0) << "rank " << i;
-            }
-          }
-          EXPECT_EQ(Sorted(s_pairs), Sorted(b_pairs));
-          // The lock-free router snapshot answers the same, bitwise.
-          auto routed = RouterTopK(*service->serving(), req);
           ASSERT_TRUE(routed.ok());
-          ASSERT_EQ(routed->entries.size(), sharded->result.entries.size());
-          for (std::size_t i = 0; i < routed->entries.size(); ++i) {
-            EXPECT_EQ(routed->entries[i].pair, sharded->result.entries[i].pair) << "rank " << i;
-            EXPECT_EQ(routed->entries[i].value, sharded->result.entries[i].value) << "rank " << i;
+          // Two answer sources: the service's own query and the lock-free
+          // router snapshot.
+          const std::pair<const char*, const core::TopKResult*> sources[] = {
+              {"service", &sharded->result}, {"router", &*routed}};
+          for (const auto& [source, got] : sources) {
+            SCOPED_TRACE(source);
+            ASSERT_EQ(got->entries.size(), base->entries.size());
+            std::vector<ts::SequencePair> s_pairs;
+            std::vector<ts::SequencePair> b_pairs;
+            for (std::size_t i = 0; i < base->entries.size(); ++i) {
+              const core::ScapeTopKEntry& entry = got->entries[i];
+              s_pairs.push_back(entry.pair);
+              b_pairs.push_back(base->entries[i].pair);
+              // Per-shard propagation and the cross-shard sweep differ from
+              // the unsharded propagation by the affine fits' residue.
+              EXPECT_NEAR(entry.value, base->entries[i].value,
+                          1e-7 * (1.0 + std::fabs(base->entries[i].value)))
+                  << "rank " << i;
+              // Exact ties resolve by pair id on every path.
+              if (base->entries[i].value == 0.0) {
+                EXPECT_EQ(entry.pair, base->entries[i].pair) << "rank " << i;
+                EXPECT_EQ(entry.value, 0.0) << "rank " << i;
+              }
+            }
+            EXPECT_EQ(Sorted(s_pairs), Sorted(b_pairs));
           }
         }
       }
@@ -607,6 +643,43 @@ TEST(Sharded, ManifestRoundTripPreservesAnswers) {
     }
   }
 
+  // A v2 manifest (written before the cross co-moment cache was removed)
+  // carries two extra words — the cache budget and resync period — after
+  // the build-tuning section. Rewrite this v3 save into that layout: the
+  // load discards the two words and restores the same deployment.
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    const std::uint32_t v2 = 2;
+    bytes.replace(4, sizeof v2, reinterpret_cast<const char*>(&v2), sizeof v2);
+    // 28-byte header, 4 bytes of assignment per series, 28 bytes of
+    // streaming geometry, 92 bytes of build tuning.
+    const std::size_t tuning_end = 28 + 4 * ds.matrix.n() + 28 + 92;
+    const std::uint64_t cache_words[2] = {8, 64};
+    bytes.insert(tuning_end, reinterpret_cast<const char*>(cache_words), sizeof cache_words);
+    const std::string v2_path = TempPath("sharded_v2.affs");
+    std::ofstream(v2_path, std::ios::binary) << bytes;
+    auto from_v2 = ShardedAffinity::Load(v2_path);
+    ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
+    auto met_v2 = from_v2->Met(met);
+    auto topk_v2 = from_v2->TopK(topk);
+    auto mec_v2 = from_v2->Mec(mec);
+    ASSERT_TRUE(met_v2.ok());
+    ASSERT_TRUE(topk_v2.ok());
+    ASSERT_TRUE(mec_v2.ok());
+    EXPECT_EQ(met_v2->result.pairs, met_b->result.pairs);
+    ASSERT_EQ(topk_v2->result.entries.size(), topk_b->result.entries.size());
+    for (std::size_t i = 0; i < topk_b->result.entries.size(); ++i) {
+      EXPECT_EQ(topk_v2->result.entries[i].pair, topk_b->result.entries[i].pair);
+      EXPECT_EQ(topk_v2->result.entries[i].value, topk_b->result.entries[i].value);
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t j = 0; j < 3; ++j) {
+        EXPECT_EQ(mec_v2->response.pair_values(i, j), mec_b->response.pair_values(i, j));
+      }
+    }
+  }
+
   // The restored deployment keeps streaming: one interval → a refresh.
   std::vector<double> row(ds.matrix.n());
   bool refreshed = false;
@@ -619,58 +692,6 @@ TEST(Sharded, ManifestRoundTripPreservesAnswers) {
   EXPECT_TRUE(refreshed);
 }
 
-// Restore-ordering audit (ISSUE 5): the cross co-moment cache uses
-// stamped_generation == 0 as its never-stamped/invalidated sentinel, and
-// a freshly restored router must never Stamp/Lookup at that sentinel —
-// Load starts the router's generation at 1, so post-restore queries are
-// ordinary miss-fills (never false hits against dropped stamps) and the
-// next lockstep refresh advances to a fresh generation.
-TEST(Sharded, RestoredRouterNeverTouchesGenerationZero) {
-  const ts::Dataset ds = TestData();
-  ShardedOptions options = SmallOptions(2);
-  options.cross_cache.budget = static_cast<std::size_t>(-1);  // watch everything
-  auto service = ShardedAffinity::Create(ds.matrix.names(), options);
-  ASSERT_TRUE(service.ok());
-  Feed(&*service, ds, 0, 60);
-  ASSERT_TRUE(service->ready());
-  const std::string path = TempPath("sharded_gen.affs");
-  ASSERT_TRUE(service->Save(path).ok());
-
-  auto loaded = ShardedAffinity::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded->ready());
-  const std::size_t watched = loaded->router().cross_pairs().size();
-  ASSERT_GT(watched, 0u);
-
-  // First query after restore: nothing is stamped (the manifest carries
-  // no rings), so every watched pair misses and re-fills from the sweep —
-  // a CHECK inside the cache would abort here if the router consulted it
-  // at the sentinel generation.
-  const MetRequest met{Measure::kCovariance, 0.0, true};
-  ASSERT_TRUE(loaded->Met(met, {core::QueryMethod::kNaive}).ok());
-  EXPECT_EQ(loaded->cross_cache_stats().hits, 0u);
-  EXPECT_EQ(loaded->cross_cache_stats().misses, watched);
-
-  // The miss fill stored at the restored generation: the repeat is warm
-  // with zero additional raw pair scans.
-  const core::CrossSweepStats swept = loaded->cross_sweep_stats();
-  ASSERT_TRUE(loaded->Met(met, {core::QueryMethod::kNaive}).ok());
-  EXPECT_EQ(loaded->cross_cache_stats().hits, watched);
-  EXPECT_EQ(loaded->cross_sweep_stats().pairs_scanned, swept.pairs_scanned);
-
-  // After a full window of appends the lockstep refresh stamps a *new*
-  // generation; warm answers keep flowing (no sentinel aliasing).
-  std::vector<double> row(ds.matrix.n());
-  for (std::size_t i = 60; i < 60 + 40 + 20; ++i) {
-    for (std::size_t j = 0; j < ds.matrix.n(); ++j) row[j] = ds.matrix.matrix()(i, j);
-    ASSERT_TRUE(loaded->Append(row).ok());
-  }
-  EXPECT_GT(loaded->cross_cache_stats().stamps, 0u);
-  const std::size_t hits_before = loaded->cross_cache_stats().hits;
-  ASSERT_TRUE(loaded->Met(met, {core::QueryMethod::kNaive}).ok());
-  EXPECT_EQ(loaded->cross_cache_stats().hits, hits_before + watched);
-}
-
 TEST(Sharded, LoadRejectsCorruptManifests) {
   EXPECT_EQ(ShardedAffinity::Load(TempPath("missing.affs")).status().code(),
             StatusCode::kIoError);
@@ -680,6 +701,24 @@ TEST(Sharded, LoadRejectsCorruptManifests) {
     out << "not a manifest at all";
   }
   EXPECT_EQ(ShardedAffinity::Load(path).status().code(), StatusCode::kInvalidArgument);
+
+  // A bare 28-byte header declaring n = 2^28 series: the assignment table
+  // it announces cannot fit in the file, so Load rejects the header
+  // instead of sizing a 1 GiB table from it.
+  const std::string huge = TempPath("huge_n.affs");
+  {
+    std::ofstream out(huge, std::ios::binary);
+    const std::uint32_t version = 3;
+    const std::uint64_t shards = 2;
+    const std::uint64_t n = std::uint64_t{1} << 28;
+    const std::uint32_t scheme = 0;
+    out.write("AFFS", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof version);
+    out.write(reinterpret_cast<const char*>(&shards), sizeof shards);
+    out.write(reinterpret_cast<const char*>(&n), sizeof n);
+    out.write(reinterpret_cast<const char*>(&scheme), sizeof scheme);
+  }
+  EXPECT_EQ(ShardedAffinity::Load(huge).status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -795,6 +834,15 @@ TEST(ShardedQuality, FilteredAnswersMatchUnshardedBaseline) {
     mec_bad.ids = {good, bad};
     EXPECT_EQ(service->Mec(mec_bad).status().code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(baseline->Mec(mec_bad).status().code(), StatusCode::kFailedPrecondition);
+
+    // The lock-free router has no quality surface: every predicate comes
+    // back Unavailable (the caller's cue to ask the live service), MEC
+    // included, instead of an answer that ignored it.
+    const auto snap = service->serving();
+    ASSERT_NE(snap, nullptr);
+    EXPECT_EQ(RouterMet(*snap, met).status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(RouterTopK(*snap, topk).status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(RouterMec(*snap, mec_ok).status().code(), StatusCode::kUnavailable);
   }
 }
 
