@@ -481,6 +481,58 @@ void BM_KernelCorrelationSweepHoisted(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelCorrelationSweepHoisted)->Arg(1024)->Arg(2048);
 
+/// The cross-shard dot sweep (DESIGN.md §9): every pair spanning two of 4
+/// range shards over n = 512 columns at window 512 — 98,304 pairs — as
+/// per-pair BlockedDot (range(0) = 0) or register-tiled BlockedDotTile
+/// (range(0) = 1), at anchor phase range(1): 0 (no leading span), 100
+/// (the whole window is the reversed leading span) and 700 (split). Both
+/// rows produce bit-identical dots; the row reports pairs/second on the
+/// dispatched backend. Gate: tiled ≥ 2× per-pair at phase 100.
+void BM_KernelCrossSweep(benchmark::State& state) {
+  namespace k = core::kernels;
+  constexpr std::size_t kN = 512;
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kM = 512;
+  constexpr std::size_t kGroup = kN / kShards;
+  static_assert(kGroup % k::kTileRows == 0 && kGroup % k::kTileCols == 0);
+  const bool tiled = state.range(0) != 0;
+  const auto anchor = static_cast<std::size_t>(state.range(1));
+  const la::Matrix x = SweepMatrix(kN, kM);
+  std::vector<double> dots(kGroup * kGroup * kShards * (kShards - 1) / 2);
+  std::size_t pairs = 0;
+  for (auto _ : state) {
+    double* out = dots.data();
+    for (std::size_t a = 0; a < kShards; ++a) {
+      for (std::size_t b = a + 1; b < kShards; ++b) {
+        for (std::size_t r = a * kGroup; r < (a + 1) * kGroup; r += tiled ? k::kTileRows : 1) {
+          if (!tiled) {
+            for (std::size_t c = b * kGroup; c < (b + 1) * kGroup; ++c) {
+              *out++ = k::BlockedDot(x.ColData(r), x.ColData(c), kM, anchor);
+            }
+            continue;
+          }
+          const double* xs[k::kTileRows];
+          for (int i = 0; i < k::kTileRows; ++i) xs[i] = x.ColData(r + i);
+          for (std::size_t c = b * kGroup; c < (b + 1) * kGroup; c += k::kTileCols) {
+            const double* ys[k::kTileCols];
+            for (int j = 0; j < k::kTileCols; ++j) ys[j] = x.ColData(c + j);
+            k::BlockedDotTile(xs, k::kTileRows, ys, k::kTileCols, kM, out, anchor);
+            out += k::kTileRows * k::kTileCols;
+          }
+        }
+      }
+    }
+    benchmark::DoNotOptimize(dots.data());
+    benchmark::ClobberMemory();
+    pairs += dots.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
+  state.SetLabel(k::ActiveBackendName());
+}
+BENCHMARK(BM_KernelCrossSweep)
+    ->ArgsProduct({{0, 1}, {0, 100, 700}})
+    ->Unit(benchmark::kMillisecond);
+
 // --- Mode estimators ----------------------------------------------------------
 
 void BM_HistogramMode(benchmark::State& state) {

@@ -31,8 +31,8 @@ std::vector<Marginals> HoistMarginals(const std::vector<const double*>& columns,
   Marginals* __restrict res = out.data();
   ParallelChunks(exec, columns.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
     for (std::size_t j = lo; j < hi; ++j) {
-      if (j + 1 < hi) __builtin_prefetch(columns[j + 1]);
-      res[j] = ColumnMarginals(columns[j], m, anchor);
+      if (j + 1 < hi && columns[j + 1] != nullptr) __builtin_prefetch(columns[j + 1]);
+      res[j] = columns[j] == nullptr ? Marginals{} : ColumnMarginals(columns[j], m, anchor);
     }
   });
   return out;

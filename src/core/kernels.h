@@ -49,7 +49,7 @@
 /// every standalone path — has no leading span and keeps the historic
 /// bits exactly.
 ///
-/// **Backends.** The seven public kernels dispatch through a
+/// **Backends.** The eight public kernels dispatch through a
 /// runtime-selected `Backend` (scalar / AVX2 / NEON), resolved once from
 /// CPU features and the `AFFINITY_KERNEL_BACKEND` env override. A lane is
 /// exactly one 64-bit slot of a vector register (256-bit = the four
@@ -327,7 +327,31 @@ inline void FusedPairMoments(const double* x, const double* y, std::size_t m, do
       out, anchor);
 }
 
+/// The kRows × kCols block of dots x[a]·y[c] in one pass, written
+/// row-major to out[a·kCols + c]. Each cell is its own canonical chain,
+/// so it is bitwise equal to BlockedDot(x[a], y[c], m, anchor) — and,
+/// IEEE multiplication being commutative, to BlockedDot(y[c], x[a]).
+template <int kRows, int kCols>
+inline void BlockedDotTile(const double* const* x, const double* const* y, std::size_t m,
+                           double* out, std::size_t anchor = 0) {
+  detail::Accumulate<kRows * kCols>(
+      m,
+      [x, y](std::size_t i, double* v) {
+        for (int a = 0; a < kRows; ++a) {
+          for (int c = 0; c < kCols; ++c) v[a * kCols + c] = x[a][i] * y[c][i];
+        }
+      },
+      out, anchor);
+}
+
 }  // namespace scalar
+
+/// The register tile of `BlockedDotTile`: every backend's table entry
+/// computes a kTileRows × kTileCols block of dots in one pass. Several
+/// independent chains side by side are the only way to add instruction-
+/// level parallelism to a dot without changing its canonical order.
+inline constexpr int kTileRows = 4;
+inline constexpr int kTileCols = 4;
 
 // --- Backend dispatch (kernels_dispatch.cc) --------------------------------
 
@@ -354,6 +378,9 @@ struct BackendOps {
                       std::size_t anchor);
   void (*fused_pair_moments)(const double* x, const double* y, std::size_t m, double* out,
                              std::size_t anchor);
+  /// One full kTileRows × kTileCols tile (x[kTileRows], y[kTileCols]).
+  void (*blocked_dot_tile)(const double* const* x, const double* const* y, std::size_t m,
+                           double* out, std::size_t anchor);
 };
 
 /// The active dispatch table, resolved once on first use (thread-safe;
@@ -427,6 +454,28 @@ inline void FusedGram5(const double* c1, const double* c2, std::size_t m, double
 inline void FusedPairMoments(const double* x, const double* y, std::size_t m, double out[5],
                              std::size_t anchor = 0) {
   ActiveOps().fused_pair_moments(x, y, m, out, anchor);
+}
+
+/// The rows × cols block of dots x[a]·y[c] (rows ≤ kTileRows, cols ≤
+/// kTileCols), row-major in out[a·cols + c]; every cell is bitwise equal
+/// to BlockedDot(x[a], y[c], m, anchor). A full tile runs the backend's
+/// register tile; a partial one (a sweep's tail) is cell-by-cell
+/// BlockedDot.
+inline void BlockedDotTile(const double* const* x, std::size_t rows, const double* const* y,
+                           std::size_t cols, std::size_t m, double* out,
+                           std::size_t anchor = 0) {
+  AFFINITY_DCHECK(rows <= static_cast<std::size_t>(kTileRows) &&
+                  cols <= static_cast<std::size_t>(kTileCols));
+  const BackendOps& ops = ActiveOps();
+  if (rows == static_cast<std::size_t>(kTileRows) && cols == static_cast<std::size_t>(kTileCols)) {
+    ops.blocked_dot_tile(x, y, m, out, anchor);
+    return;
+  }
+  for (std::size_t a = 0; a < rows; ++a) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      out[a * cols + c] = ops.blocked_dot(x[a], y[c], m, anchor);
+    }
+  }
 }
 
 // --- Masked (pairwise-complete) kernels (DESIGN.md §12) --------------------
@@ -857,8 +906,9 @@ class BlockChain {
 /// anchor.
 std::vector<Marginals> HoistMarginals(const ts::DataMatrix& data, const ExecContext& exec);
 
-/// As above over an explicit column list (the shard router's resolved
-/// cross-pair columns), all of length `m` anchored at `anchor`.
+/// As above over an explicit column list (the shard router's column
+/// table), all of length `m` anchored at `anchor`; a null column gets
+/// all-zero marginals.
 std::vector<Marginals> HoistMarginals(const std::vector<const double*>& columns, std::size_t m,
                                       const ExecContext& exec, std::size_t anchor = 0);
 

@@ -43,11 +43,16 @@ void ScalarFusedPairMoments(const double* x, const double* y, std::size_t m, dou
   scalar::FusedPairMoments(x, y, m, out, anchor);
 }
 
+void ScalarBlockedDotTile(const double* const* x, const double* const* y, std::size_t m,
+                          double* out, std::size_t anchor) {
+  scalar::BlockedDotTile<kTileRows, kTileCols>(x, y, m, out, anchor);
+}
+
 constexpr BackendOps kScalarOps = {
     Backend::kScalar,       "scalar",          &ScalarBlockedSum,
     &ScalarBlockedDot,      &ScalarColumnMarginals,
     &ScalarFusedDot3,       &ScalarFusedCross3, &ScalarFusedGram5,
-    &ScalarFusedPairMoments,
+    &ScalarFusedPairMoments, &ScalarBlockedDotTile,
 };
 
 /// The best backend this CPU can actually run, ignoring overrides.

@@ -203,11 +203,43 @@ void Avx2FusedPairMoments(const double* x, const double* y, std::size_t m, doubl
       });
 }
 
+/// The kTileRows × kTileCols dots in one pass: each 4-element step loads
+/// every column once and feeds kTileRows·kTileCols independent
+/// accumulators, so the adds of different cells overlap instead of waiting
+/// on one latency-bound chain. No prefetch: a sweep reuses the same
+/// columns tile after tile.
+void Avx2BlockedDotTile(const double* const* x, const double* const* y, std::size_t m,
+                        double* out, std::size_t anchor) {
+  constexpr int kRows = kTileRows;
+  constexpr int kCols = kTileCols;
+  const double* xs[kRows];
+  const double* ys[kCols];
+  for (int a = 0; a < kRows; ++a) xs[a] = x[a];
+  for (int c = 0; c < kCols; ++c) ys[c] = y[c];
+  Run<kRows * kCols>(
+      m, anchor, out,
+      [xs, ys](std::size_t i, __m256d acc[kRows * kCols]) {
+        __m256d vy[kCols];
+        for (int c = 0; c < kCols; ++c) vy[c] = _mm256_loadu_pd(ys[c] + i);
+        for (int a = 0; a < kRows; ++a) {
+          const __m256d vx = _mm256_loadu_pd(xs[a] + i);
+          for (int c = 0; c < kCols; ++c) {
+            acc[a * kCols + c] = _mm256_add_pd(acc[a * kCols + c], _mm256_mul_pd(vx, vy[c]));
+          }
+        }
+      },
+      [xs, ys](std::size_t i, double* v) {
+        for (int a = 0; a < kRows; ++a) {
+          for (int c = 0; c < kCols; ++c) v[a * kCols + c] = xs[a][i] * ys[c][i];
+        }
+      });
+}
+
 constexpr BackendOps kAvx2Ops = {
     Backend::kAvx2,        "avx2",
     &Avx2BlockedSum,       &Avx2BlockedDot,       &Avx2ColumnMarginals,
     &Avx2FusedDot3,        &Avx2FusedCross3,      &Avx2FusedGram5,
-    &Avx2FusedPairMoments,
+    &Avx2FusedPairMoments, &Avx2BlockedDotTile,
 };
 
 }  // namespace

@@ -14,8 +14,14 @@
 /// scalar additions, on the same operands, in the same per-lane order —
 /// identical IEEE roundings, identical bits. Multiplies are explicit
 /// mul-then-add (never FMA — a fused multiply-add rounds once where the
-/// scalar chain rounds twice). The leading reversed span and sub-group
-/// remainders reuse the scalar reference code verbatim. Block pairing
+/// scalar chain rounds twice). The leading reversed span is vectorized
+/// the same way, mirrored: its lane l takes elements at offset ≡ l below
+/// the span end, so a top-down `vstep(i − kLanes)` over the group
+/// [i − kLanes, i) adds the element of lane l into slot kLanes − 1 − l,
+/// each slot still in decreasing index — the scalar walk's additions on
+/// the same operands in the same order; the slots are stored reversed.
+/// Sub-group remainders (leading and trailing) run the scalar term
+/// exactly as `AccumulateSpanReversed`/`AccumulateSpan` do. Block pairing
 /// (two independent full blocks in lockstep, partials still added in
 /// block order) only reorders instruction *scheduling*, never the
 /// additions inside a lane or the block-partial sequence.
@@ -31,7 +37,7 @@ namespace affinity::core::kernels::simd {
 /// double lanes) with `Zero()` / `Store(lanes, acc)`. `vstep(i, acc)`
 /// folds the 4-element group at window offset i into acc[0..kChains) with
 /// slotwise mul/add; `term(i, v)` is the scalar reference term used for
-/// the leading reversed span and remainders.
+/// sub-group remainders.
 template <int kChains, class Traits, class VecStep, class Term>
 inline void AccumulateVec(std::size_t m, std::size_t anchor, double* out, const VecStep& vstep,
                           const Term& term) {
@@ -40,12 +46,26 @@ inline void AccumulateVec(std::size_t m, std::size_t anchor, double* out, const 
   const std::size_t phase = anchor % kBlockElems;
   std::size_t base = 0;
   if (phase != 0 && m > 0) {
-    // The leading partial span walks top-down (see kernels.h); its length
-    // is at most kBlockElems − 1 — scalar reference, bit-identical by
-    // construction.
+    // The leading partial span walks top-down (see kernels.h): full
+    // groups from the span end down, slot s holding lane kLanes − 1 − s,
+    // then the < kLanes lowest elements through the scalar term in
+    // AccumulateSpanReversed's order.
     const std::size_t lead = kBlockElems - phase < m ? kBlockElems - phase : m;
-    double lanes[kChains][kLanes] = {};
-    detail::AccumulateSpanReversed<kChains>(0, lead, term, lanes);
+    Acc acc[kChains];
+    for (int c = 0; c < kChains; ++c) acc[c] = Traits::Zero();
+    std::size_t i = lead;
+    for (; i >= kLanes; i -= kLanes) vstep(i - kLanes, acc);
+    double lanes[kChains][kLanes];
+    for (int c = 0; c < kChains; ++c) {
+      double slots[kLanes];
+      Traits::Store(slots, acc[c]);
+      for (std::size_t l = 0; l < kLanes; ++l) lanes[c][l] = slots[kLanes - 1 - l];
+    }
+    for (std::size_t l = 0; i > 0; --i, ++l) {
+      double v[kChains];
+      term(i - 1, v);
+      for (int c = 0; c < kChains; ++c) lanes[c][l] += v[c];
+    }
     for (int c = 0; c < kChains; ++c) {
       out[c] += (lanes[c][0] + lanes[c][1]) + (lanes[c][2] + lanes[c][3]);
     }

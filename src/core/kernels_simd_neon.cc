@@ -220,11 +220,19 @@ void NeonFusedPairMoments(const double* x, const double* y, std::size_t m, doubl
       });
 }
 
+/// The dot tile stays the scalar reference on NEON: a 4×4 tile of
+/// two-register accumulators would need all 32 vector registers before
+/// any operand, and no aarch64 machine has measured a vector tile yet.
+void NeonBlockedDotTile(const double* const* x, const double* const* y, std::size_t m,
+                        double* out, std::size_t anchor) {
+  scalar::BlockedDotTile<kTileRows, kTileCols>(x, y, m, out, anchor);
+}
+
 constexpr BackendOps kNeonOps = {
     Backend::kNeon,        "neon",
     &NeonBlockedSum,       &NeonBlockedDot,       &NeonColumnMarginals,
     &NeonFusedDot3,        &NeonFusedCross3,      &NeonFusedGram5,
-    &NeonFusedPairMoments,
+    &NeonFusedPairMoments, &NeonBlockedDotTile,
 };
 
 }  // namespace

@@ -110,6 +110,20 @@ PairMoments ComputePairMoments(const double* x, const double* y, std::size_t len
 }
 
 StatusOr<double> PairMeasureFromMoments(Measure m, const PairMoments& pm) {
+  switch (m) {
+    case Measure::kCovariance:
+    case Measure::kDotProduct:
+    case Measure::kCorrelation:
+    case Measure::kCosine:
+    case Measure::kJaccard:
+    case Measure::kDice:
+      return PairMeasureValue(m, pm);
+    default:
+      return Status::InvalidArgument(std::string(MeasureName(m)) + " is not a pair measure");
+  }
+}
+
+double PairMeasureValue(Measure m, const PairMoments& pm) {
   const double inv = pm.m == 0 ? 0.0 : 1.0 / static_cast<double>(pm.m);
   switch (m) {
     case Measure::kCovariance:
@@ -137,7 +151,7 @@ StatusOr<double> PairMeasureFromMoments(Measure m, const PairMoments& pm) {
       return denom == 0.0 ? 0.0 : 2.0 * pm.dot_xy / denom;
     }
     default:
-      return Status::InvalidArgument(std::string(MeasureName(m)) + " is not a pair measure");
+      internal::CheckFailed(__FILE__, __LINE__, "PairMeasureValue of a non-pair measure");
   }
 }
 

@@ -114,6 +114,11 @@ inline PairMoments PairMomentsFromMarginals(const kernels::Marginals& mx,
 /// DESIGN.md §6). InvalidArgument for L-measures.
 StatusOr<double> PairMeasureFromMoments(Measure m, const PairMoments& pm);
 
+/// The same value without the Status, for sweep inner loops that checked
+/// the measure once (`PairMeasureFromMoments` OK on any moments). A non-
+/// pair measure is an internal error (AFFINITY_CHECK).
+double PairMeasureValue(Measure m, const PairMoments& pm);
+
 /// T- or D-measure of a pair of series, from scratch: one fused blocked
 /// pass (`ComputePairMoments`) + `PairMeasureFromMoments`. Bitwise equal
 /// to every marginal-hoisted sweep and to the shard router's cross-pair

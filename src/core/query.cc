@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,50 +46,167 @@ void NextPair(std::size_t n, std::size_t* u, std::size_t* v) {
 
 }  // namespace
 
-StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
-                                                 const std::vector<CrossPair>& pairs,
-                                                 std::size_t m, const ExecContext& exec,
-                                                 std::size_t anchor) {
-  if (IsLocation(measure)) {
+CrossLayout MakeCrossLayout(std::vector<std::vector<ts::SeriesId>> groups) {
+  std::size_t n = 0;
+  for (const std::vector<ts::SeriesId>& g : groups) n += g.size();
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::vector<std::size_t> group_of(n, kNone);
+  std::vector<std::size_t> index_of(n);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t i = 0; i < groups[g].size(); ++i) {
+      const ts::SeriesId id = groups[g][i];
+      AFFINITY_CHECK(id < n && group_of[id] == kNone);  // a disjoint cover of 0..n−1
+      group_of[id] = g;
+      index_of[id] = i;
+    }
+  }
+  // First block-order index of each block (a, b), a < b.
+  const std::size_t count = groups.size();
+  std::vector<std::size_t> base(count * count, 0);
+  std::size_t total = 0;
+  for (std::size_t a = 0; a < count; ++a) {
+    for (std::size_t b = a + 1; b < count; ++b) {
+      base[a * count + b] = total;
+      total += groups[a].size() * groups[b].size();
+    }
+  }
+  AFFINITY_CHECK(total <= std::numeric_limits<std::uint32_t>::max());
+  CrossLayout out;
+  out.rank.resize(total);
+  out.pairs.reserve(total);
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    for (std::size_t v = u + 1; v < n; ++v) {
+      if (group_of[u] == group_of[v]) continue;
+      // The cell of the block whose row group is the lower group index.
+      const bool u_rows = group_of[u] < group_of[v];
+      const std::size_t row = u_rows ? u : v;
+      const std::size_t col = u_rows ? v : u;
+      const std::size_t width = groups[group_of[col]].size();
+      out.rank[base[group_of[row] * count + group_of[col]] + index_of[row] * width +
+               index_of[col]] = static_cast<std::uint32_t>(out.pairs.size());
+      out.pairs.emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
+    }
+  }
+  out.groups = std::move(groups);
+  return out;
+}
+
+namespace {
+
+/// Marginals of every non-null column of the table (all-zero elsewhere),
+/// once the measure is known to be a pair measure.
+StatusOr<std::vector<kernels::Marginals>> CrossMarginals(Measure measure,
+                                                         const CrossColumns& columns,
+                                                         const ExecContext& exec) {
+  if (!PairMeasureFromMoments(measure, PairMoments{}).ok()) {
     return Status::InvalidArgument("cross-shard evaluation covers pair measures only");
   }
-  // Hoist the marginals of every *distinct* column once (a column from one
-  // shard pairs with every column of every other shard, so the dedup is
-  // what turns the sweep from O(pairs·m·passes) into O(columns·m +
-  // pairs·m) with exactly one fused pass per pair).
-  std::unordered_map<const double*, std::size_t> column_index;
-  std::vector<const double*> columns;
-  column_index.reserve(2 * pairs.size());
-  for (const CrossPair& pair : pairs) {
-    if (pair.u == nullptr || pair.v == nullptr) {
-      return Status::InvalidArgument("cross-shard pair with unresolved columns");
-    }
-    for (const double* col : {pair.u, pair.v}) {
-      if (column_index.try_emplace(col, columns.size()).second) columns.push_back(col);
+  return kernels::HoistMarginals(columns.by_id, columns.m, exec, columns.anchor);
+}
+
+/// The value of `pair` from its hoisted marginals and cross dot, in the
+/// pair's own (u, v) orientation; blended from the same co-moments when
+/// the caller asks.
+double FinishCrossPair(Measure measure, ts::SequencePair pair,
+                       const std::vector<kernels::Marginals>& marginals, double dot,
+                       std::size_t m, const CrossBlend* blend) {
+  const PairMoments pm = PairMomentsFromMarginals(marginals[pair.u], marginals[pair.v], dot, m);
+  const double value = PairMeasureValue(measure, pm);
+  if (blend == nullptr) return value;
+  return (*blend)(pair, PairMeasureValue(Measure::kCorrelation, pm), value);
+}
+
+Status UnresolvedColumns() {
+  return Status::InvalidArgument("cross-shard pair with unresolved columns");
+}
+
+}  // namespace
+
+StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure, const CrossColumns& columns,
+                                                 const CrossLayout& layout,
+                                                 const ExecContext& exec,
+                                                 const CrossBlend* blend) {
+  for (const std::vector<ts::SeriesId>& group : layout.groups) {
+    for (const ts::SeriesId id : group) {
+      if (id >= columns.by_id.size() || columns.by_id[id] == nullptr) return UnresolvedColumns();
     }
   }
-  const std::vector<kernels::Marginals> marginals =
-      kernels::HoistMarginals(columns, m, exec, anchor);
-  std::vector<double> values(pairs.size());
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec, pairs.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (i + 1 < hi) {
-            // The next pair's columns are a strided jump away; touch
-            // their heads while this pair's dot pass runs.
-            __builtin_prefetch(pairs[i + 1].u);
-            __builtin_prefetch(pairs[i + 1].v);
+  AFFINITY_ASSIGN_OR_RETURN(const std::vector<kernels::Marginals> marginals,
+                            CrossMarginals(measure, columns, exec));
+  // Work units: the tile-row strips of every block, in block order.
+  constexpr auto kRows = static_cast<std::size_t>(kernels::kTileRows);
+  constexpr auto kCols = static_cast<std::size_t>(kernels::kTileCols);
+  struct Block {
+    std::size_t a, b;
+    std::size_t first_strip;  ///< strip index of the block's first tile row
+    std::size_t base;         ///< block-order index of the block's first cell
+  };
+  const std::vector<std::vector<ts::SeriesId>>& groups = layout.groups;
+  std::vector<Block> blocks;
+  std::size_t strips = 0;
+  std::size_t cells = 0;
+  for (std::size_t a = 0; a < groups.size(); ++a) {
+    for (std::size_t b = a + 1; b < groups.size(); ++b) {
+      blocks.push_back(Block{a, b, strips, cells});
+      strips += (groups[a].size() + kRows - 1) / kRows;
+      cells += groups[a].size() * groups[b].size();
+    }
+  }
+  AFFINITY_CHECK_EQ(cells, layout.rank.size());
+  std::vector<double> values(cells);
+  const std::size_t m = columns.m;
+  ParallelChunks(exec, strips, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
+    std::size_t k = 0;
+    for (std::size_t t = lo; t < hi; ++t) {
+      while (k + 1 < blocks.size() && blocks[k + 1].first_strip <= t) ++k;
+      const Block& block = blocks[k];
+      const std::vector<ts::SeriesId>& rows = groups[block.a];
+      const std::vector<ts::SeriesId>& cols = groups[block.b];
+      const std::size_t r0 = (t - block.first_strip) * kRows;
+      const std::size_t nr = std::min(kRows, rows.size() - r0);
+      const double* x[kRows];
+      for (std::size_t i = 0; i < nr; ++i) x[i] = columns.by_id[rows[r0 + i]];
+      for (std::size_t c0 = 0; c0 < cols.size(); c0 += kCols) {
+        const std::size_t nc = std::min(kCols, cols.size() - c0);
+        const double* y[kCols];
+        for (std::size_t j = 0; j < nc; ++j) y[j] = columns.by_id[cols[c0 + j]];
+        double dots[kRows * kCols];
+        kernels::BlockedDotTile(x, nr, y, nc, m, dots, columns.anchor);
+        for (std::size_t i = 0; i < nr; ++i) {
+          for (std::size_t j = 0; j < nc; ++j) {
+            const ts::SequencePair pair(rows[r0 + i], cols[c0 + j]);
+            const std::size_t cell = block.base + (r0 + i) * cols.size() + c0 + j;
+            values[layout.rank[cell]] =
+                FinishCrossPair(measure, pair, marginals, dots[i * nc + j], m, blend);
           }
-          const kernels::Marginals& mu = marginals[column_index.at(pairs[i].u)];
-          const kernels::Marginals& mv = marginals[column_index.at(pairs[i].v)];
-          const PairMoments pm = PairMomentsFromMarginals(
-              mu, mv, kernels::BlockedDot(pairs[i].u, pairs[i].v, m, anchor), m);
-          auto value = PairMeasureFromMoments(measure, pm);
-          if (!value.ok()) return value.status();
-          values[i] = *value;
         }
-        return Status::OK();
-      }));
+      }
+    }
+  });
+  return values;
+}
+
+StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure, const CrossColumns& columns,
+                                                 const std::vector<ts::SequencePair>& pairs,
+                                                 const ExecContext& exec,
+                                                 const CrossBlend* blend) {
+  for (const ts::SequencePair pair : pairs) {
+    if (pair.v >= columns.by_id.size() || columns.by_id[pair.u] == nullptr ||
+        columns.by_id[pair.v] == nullptr) {
+      return UnresolvedColumns();
+    }
+  }
+  AFFINITY_ASSIGN_OR_RETURN(const std::vector<kernels::Marginals> marginals,
+                            CrossMarginals(measure, columns, exec));
+  std::vector<double> values(pairs.size());
+  ParallelChunks(exec, pairs.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const ts::SequencePair pair = pairs[i];
+      const double dot = kernels::BlockedDot(columns.by_id[pair.u], columns.by_id[pair.v],
+                                             columns.m, columns.anchor);
+      values[i] = FinishCrossPair(measure, pair, marginals, dot, columns.m, blend);
+    }
+  });
   return values;
 }
 

@@ -25,6 +25,7 @@
 /// time MEC under WN/WA; Figs. 15–16 and Table 4 time MET/MER under all
 /// four strategies.
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -134,31 +135,61 @@ inline bool KeepGreater(double value, double tau, double /*unused*/) { return va
 inline bool KeepLesser(double value, double tau, double /*unused*/) { return value < tau; }
 inline bool KeepInside(double value, double lo, double hi) { return lo < value && value < hi; }
 
-/// One cross-shard pair scheduled for naive evaluation: the global
-/// sequence pair plus its two aligned column spans, each resolved by the
-/// caller from (possibly different) shard snapshots.
-struct CrossPair {
-  ts::SequencePair pair;
-  const double* u = nullptr;
-  const double* v = nullptr;
+/// The columns a cross-shard sweep reads: one aligned length-`m` span per
+/// global series id, each resolved by the caller from (possibly
+/// different) shard snapshots, all on the block grid at `anchor` (the
+/// snapshots' `anchor_row()`, identical across a lockstep deployment). A
+/// null entry marks a series the sweep does not touch.
+struct CrossColumns {
+  std::vector<const double*> by_id;
+  std::size_t m = 0;
+  std::size_t anchor = 0;
 };
 
-/// Evaluates `measure` for every cross-shard pair from scratch (WN) over
-/// its aligned length-`m` column spans — the cross-shard half of a
-/// scatter-gather MET/MER/MEC/top-k (DESIGN.md §9). No per-shard model or
-/// index covers a pair spanning two shards, so the router resolves each
-/// pair's columns against the shard snapshots and sweeps them here as a
-/// deterministic chunked parallel loop over `exec`: marginals of every
-/// distinct column hoisted once, then exactly one fused blocked dot per
-/// pair (DESIGN.md §10) — bitwise equal to `NaivePairMeasure` over the
-/// same columns. Values are returned index-aligned with `pairs`.
-/// `anchor` is the columns' block-grid anchor (the shard snapshots'
-/// `anchor_row()`, identical across a lockstep deployment).
-/// InvalidArgument for L-measures.
-StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
-                                                 const std::vector<CrossPair>& pairs,
-                                                 std::size_t m, const ExecContext& exec = {},
-                                                 std::size_t anchor = 0);
+/// Every pair spanning two groups of a disjoint cover of the global ids,
+/// in (u, v)-lex order, with their shard-pair block layout (DESIGN.md §9).
+/// Block order walks the group pairs (A, B), A < B, lexicographically,
+/// and within a block the cells group(A)[i] × group(B)[j] row-major;
+/// `rank[k]` is the index in `pairs` of the k-th cell in that order.
+/// Fixed for a partition, so built once.
+struct CrossLayout {
+  std::vector<std::vector<ts::SeriesId>> groups;
+  std::vector<ts::SequencePair> pairs;
+  std::vector<std::uint32_t> rank;
+};
+
+/// Builds the layout of `groups`: a disjoint cover of 0..n−1, each group
+/// in its sweep order.
+CrossLayout MakeCrossLayout(std::vector<std::vector<ts::SeriesId>> groups);
+
+/// The freshness blend of a cross pair (DESIGN.md §9): (pair, snapshot
+/// correlation, snapshot value) → blended value. Both inputs come from
+/// the pair's one co-moment set.
+using CrossBlend = std::function<double(ts::SequencePair, double, double)>;
+
+/// Evaluates `measure` from scratch (WN) for every pair of `layout` over
+/// the `columns` table — the cross-shard half of a scatter-gather
+/// MET/MER/top-k (DESIGN.md §9). No per-shard model or index covers a
+/// pair spanning two shards, so the sweep hoists every column's marginals
+/// once, then runs each block as register tiles of
+/// `kernels::BlockedDotTile` (tails cell by cell), chunked
+/// deterministically over tile-row strips on `exec`. Each value is
+/// finished in the pair's own (u < v) orientation — bitwise equal to
+/// `NaivePairMeasure` over the same columns — optionally blended
+/// (`blend`); values are index-aligned with `layout.pairs`.
+/// InvalidArgument for L-measures and for a layout series with no column.
+StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure, const CrossColumns& columns,
+                                                 const CrossLayout& layout,
+                                                 const ExecContext& exec = {},
+                                                 const CrossBlend* blend = nullptr);
+
+/// The same evaluation for an explicit pair list (MEC's cross cells),
+/// pair by pair; values index-aligned with `pairs`. Marginals are hoisted
+/// for the table's non-null columns only.
+StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure, const CrossColumns& columns,
+                                                 const std::vector<ts::SequencePair>& pairs,
+                                                 const ExecContext& exec = {},
+                                                 const CrossBlend* blend = nullptr);
 
 /// Strategy-dispatching query processor.
 ///

@@ -35,10 +35,12 @@
 /// L-measures use the series-level relationships (one per series) with
 /// per-cluster pivot nodes — the "linear in n" structure of Table 4.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "btree/bplus_tree.h"
@@ -109,6 +111,55 @@ inline bool TopKBefore(const ScapeTopKEntry& a, const ScapeTopKEntry& b, bool la
   if (a.series != b.series) return a.series < b.series;
   return a.pair < b.pair;
 }
+
+/// The k best entries offered so far under the canonical order, kept as a
+/// fixed-size heap whose "less" is TopKBefore, so its top is the worst
+/// kept entry. Selects exactly the k first entries of a full sort, in
+/// that order, while holding at most k.
+class BestK {
+ public:
+  /// `k` may exceed the population (up to SIZE_MAX): the heap then simply
+  /// keeps every entry offered, so nothing is reserved up front.
+  BestK(std::size_t k, bool largest) : k_(k), sign_(largest ? 1.0 : -1.0), before_{largest} {}
+
+  /// θ in the "larger is better" space of the scan's bounds: the k-th best
+  /// value times the query sign, or -inf while fewer than k are held.
+  double Threshold() const {
+    return heap_.size() < k_ ? -std::numeric_limits<double>::infinity()
+                             : sign_ * heap_.front().value;
+  }
+
+  void Offer(const ScapeTopKEntry& entry) {
+    if (heap_.size() < k_) {
+      heap_.push_back(entry);
+      std::push_heap(heap_.begin(), heap_.end(), before_);
+      return;
+    }
+    if (!before_(entry, heap_.front())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), before_);
+    heap_.back() = entry;
+    std::push_heap(heap_.begin(), heap_.end(), before_);
+  }
+
+  /// The kept entries, best-first.
+  std::vector<ScapeTopKEntry> TakeSorted() {
+    std::sort_heap(heap_.begin(), heap_.end(), before_);
+    return std::move(heap_);
+  }
+
+ private:
+  struct Before {
+    bool largest;
+    bool operator()(const ScapeTopKEntry& a, const ScapeTopKEntry& b) const {
+      return TopKBefore(a, b, largest);
+    }
+  };
+
+  std::size_t k_;
+  double sign_;
+  Before before_;
+  std::vector<ScapeTopKEntry> heap_;
+};
 
 /// Result of a top-k query, ordered best-first under TopKBefore.
 struct ScapeTopKResult {

@@ -29,53 +29,6 @@ namespace affinity::core {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// The k best entries offered so far under the canonical order, kept as a
-/// fixed-size heap. The heap's "less" is TopKBefore, so its top is the
-/// worst kept entry.
-class BestK {
- public:
-  /// `k` may exceed the population (up to SIZE_MAX): the heap then simply
-  /// keeps every entry offered, so nothing is reserved up front.
-  BestK(std::size_t k, bool largest) : k_(k), sign_(largest ? 1.0 : -1.0), before_{largest} {}
-
-  /// θ in the "larger is better" space of the scan's bounds: the k-th best
-  /// value times the query sign, or -inf while fewer than k are held.
-  double Threshold() const { return heap_.size() < k_ ? -kInf : sign_ * heap_.front().value; }
-
-  void Offer(const ScapeTopKEntry& entry) {
-    if (heap_.size() < k_) {
-      heap_.push_back(entry);
-      std::push_heap(heap_.begin(), heap_.end(), before_);
-      return;
-    }
-    if (!before_(entry, heap_.front())) return;
-    std::pop_heap(heap_.begin(), heap_.end(), before_);
-    heap_.back() = entry;
-    std::push_heap(heap_.begin(), heap_.end(), before_);
-  }
-
-  /// The kept entries, best-first.
-  std::vector<ScapeTopKEntry> TakeSorted() {
-    std::sort_heap(heap_.begin(), heap_.end(), before_);
-    return std::move(heap_);
-  }
-
- private:
-  struct Before {
-    bool largest;
-    bool operator()(const ScapeTopKEntry& a, const ScapeTopKEntry& b) const {
-      return TopKBefore(a, b, largest);
-    }
-  };
-
-  std::size_t k_;
-  double sign_;
-  Before before_;
-  std::vector<ScapeTopKEntry> heap_;
-};
-
 /// Applies `fn(key, value)` to the entries of `tree` best-first (descending
 /// key for `largest`, ascending otherwise) until `fn` returns false.
 template <typename V, typename Fn>

@@ -10,17 +10,11 @@
 namespace affinity::shard {
 
 RoutingTables::RoutingTables(SeriesPartitioner p) : partitioner(std::move(p)) {
-  // The complement of the per-shard pair sets.
-  const std::size_t n = partitioner.n();
-  cross.reserve(partitioner.cross_pair_count());
-  for (std::size_t u = 0; u + 1 < n; ++u) {
-    for (std::size_t v = u + 1; v < n; ++v) {
-      if (partitioner.shard_of(static_cast<ts::SeriesId>(u)) !=
-          partitioner.shard_of(static_cast<ts::SeriesId>(v))) {
-        cross.emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
-      }
-    }
-  }
+  // The complement of the per-shard pair sets; each block sweeps its
+  // shards' members in local order.
+  std::vector<std::vector<ts::SeriesId>> groups;
+  for (std::size_t s = 0; s < partitioner.shards(); ++s) groups.push_back(partitioner.group(s));
+  cross = core::MakeCrossLayout(std::move(groups));
 }
 
 namespace {
@@ -61,11 +55,22 @@ std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less les
   return out;
 }
 
-/// The snapshot column of global series `id` (shard snapshots hold the
-/// window copies; local order matches the live shard's DataMatrix).
-const double* ColumnOf(const RouterSnapshot& snap, ts::SeriesId id) {
+/// The epoch's snapshot column of every global series — or, with `only`,
+/// of those ids alone (shard snapshots hold the window copies; local order
+/// matches the live shard's DataMatrix).
+core::CrossColumns ColumnTable(const RouterSnapshot& snap,
+                               const std::vector<ts::SeriesId>* only = nullptr) {
   const SeriesPartitioner& p = snap.routing->partitioner;
-  return snap.shards[p.shard_of(id)]->data.ColumnData(p.local_id(id));
+  core::CrossColumns table{std::vector<const double*>(p.n(), nullptr), snap.window, snap.anchor};
+  const auto resolve = [&](ts::SeriesId id) {
+    table.by_id[id] = snap.shards[p.shard_of(id)]->data.ColumnData(p.local_id(id));
+  };
+  if (only != nullptr) {
+    for (const ts::SeriesId id : *only) resolve(id);
+  } else {
+    for (std::size_t id = 0; id < p.n(); ++id) resolve(static_cast<ts::SeriesId>(id));
+  }
+  return table;
 }
 
 /// Composite quality score of global series `id` from its shard's surface
@@ -93,7 +98,7 @@ ExecutedPlan ResolvePlan(const RouterSnapshot& snap, QueryMethod method,
                               std::to_string(snap.shards.size()) + " shards";
     return explicit_plan;
   }
-  const QueryPlanner::Topology topology{snap.shards.size(), snap.routing->cross.size()};
+  const QueryPlanner::Topology topology{snap.shards.size(), snap.routing->cross.pairs.size()};
   const QueryPlanner planner(snap.max_n, snap.window, snap.caps, topology);
   return plan(planner);
 }
@@ -104,27 +109,18 @@ void Annotate(ExecutedPlan* plan, const RouterSnapshot& snap, const GatherOption
   if (!options.blend) core::AnnotateSnapshotServed(plan, snap.generation);
 }
 
-/// Values of `pairs` (each spanning two shards) swept naively over the
-/// epoch's snapshot columns with the canonical blocked kernels, then
-/// blended when the caller asks (correlation is scale-free, so it passes
-/// through the blend unchanged).
+/// The blend applied to cross-pair values, if any: correlation is
+/// scale-free, so it passes through the blend unchanged.
+const core::CrossBlend* CrossBlendFor(Measure measure, const GatherOptions& options) {
+  return options.blend && measure != Measure::kCorrelation ? &options.blend->value : nullptr;
+}
+
+/// Values of every cross pair of the epoch, index-aligned with
+/// `snap.routing->cross.pairs`, swept naively over the snapshot columns.
 StatusOr<std::vector<double>> CrossValues(const RouterSnapshot& snap, Measure measure,
-                                          const std::vector<ts::SequencePair>& pairs,
                                           const GatherOptions& options) {
-  std::vector<core::CrossPair> resolved(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    resolved[i] = core::CrossPair{pairs[i], ColumnOf(snap, pairs[i].u), ColumnOf(snap, pairs[i].v)};
-  }
-  const auto sweep = [&](Measure m) {
-    return core::EvaluateCrossPairs(m, resolved, snap.window, options.exec, snap.anchor);
-  };
-  AFFINITY_ASSIGN_OR_RETURN(std::vector<double> values, sweep(measure));
-  if (!options.blend || measure == Measure::kCorrelation) return values;
-  AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> rhos, sweep(Measure::kCorrelation));
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    values[i] = options.blend->value(pairs[i], rhos[i], values[i]);
-  }
-  return values;
+  return core::EvaluateCrossPairs(measure, ColumnTable(snap), snap.routing->cross, options.exec,
+                                  CrossBlendFor(measure, options));
 }
 
 /// Rewrites a shard's local ids to global ones.
@@ -183,9 +179,9 @@ StatusOr<core::SelectionResult> Select(const RouterSnapshot& snap, Measure measu
     merged.excluded += q.excluded;
   }
   if (!location && n_shards > 1) {
-    const std::vector<ts::SequencePair>& cross = snap.routing->cross;
+    const std::vector<ts::SequencePair>& cross = snap.routing->cross.pairs;
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossValues(snap, measure, cross, options));
+                              CrossValues(snap, measure, options));
     std::vector<ts::SequencePair> kept;
     for (std::size_t i = 0; i < cross.size(); ++i) {
       if (!keep(values[i], a, b)) continue;
@@ -274,11 +270,10 @@ StatusOr<core::TopKResult> GatherTopK(const RouterSnapshot& snap, const core::To
     merged.excluded += q.excluded;
   }
   if (!core::IsLocation(request.measure) && n_shards > 1) {
-    const std::vector<ts::SequencePair>& cross = snap.routing->cross;
+    const std::vector<ts::SequencePair>& cross = snap.routing->cross.pairs;
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossValues(snap, request.measure, cross, options));
-    ScapeTopKResult cross_run;
-    cross_run.entries.reserve(cross.size());
+                              CrossValues(snap, request.measure, options));
+    core::BestK best(request.k, request.largest);
     for (std::size_t i = 0; i < cross.size(); ++i) {
       // Cross pairs compete only when both endpoints satisfy the quality
       // predicate (per-shard answers already restricted their own
@@ -289,16 +284,10 @@ StatusOr<core::TopKResult> GatherTopK(const RouterSnapshot& snap, const core::To
         ++merged.excluded;
         continue;
       }
-      cross_run.entries.push_back(ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
+      best.Offer(ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
     }
-    const std::size_t k = std::min(request.k, cross_run.entries.size());
-    const auto before = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-      return core::TopKBefore(a, b, request.largest);
-    };
-    std::partial_sort(cross_run.entries.begin(),
-                      cross_run.entries.begin() + static_cast<long>(k), cross_run.entries.end(),
-                      before);
-    cross_run.entries.resize(k);
+    ScapeTopKResult cross_run;
+    cross_run.entries = best.TakeSorted();
     cross_run.examined = cross.size();
     runs.push_back(std::move(cross_run));
   }
@@ -396,8 +385,10 @@ StatusOr<core::MecResponse> GatherMec(const RouterSnapshot& snap, const core::Me
       }
     }
     if (!pairs.empty()) {
-      AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                                CrossValues(snap, request.measure, pairs, options));
+      AFFINITY_ASSIGN_OR_RETURN(
+          const std::vector<double> values,
+          core::EvaluateCrossPairs(request.measure, ColumnTable(snap, &request.ids), pairs,
+                                   options.exec, CrossBlendFor(request.measure, options)));
       for (std::size_t idx = 0; idx < cells.size(); ++idx) {
         out.pair_values(cells[idx].first, cells[idx].second) = values[idx];
         out.pair_values(cells[idx].second, cells[idx].first) = values[idx];

@@ -5,15 +5,19 @@
 /// The sharded deployment's one scatter-gather (DESIGN.md §9, §11). An
 /// immutable `RouterSnapshot` bundles every shard's published
 /// `serve::ServingSnapshot` for one lockstep refresh epoch with the
-/// deployment's routing tables (the partition and the lex cross-pair
-/// list), so a MET/MER/MEC/top-k can execute end-to-end against immutable
-/// state — zero locks, zero waiting on in-flight slides.
+/// deployment's routing tables (the partition, the lex cross-pair list
+/// and its block layout), so a MET/MER/MEC/top-k can execute end-to-end
+/// against immutable state — zero locks, zero waiting on in-flight slides.
 ///
 /// Every sharded query runs through the `Gather*` functions below: plan
 /// resolution, the per-shard scatter, local→global rewrite + sort, the
-/// naive sweep of the pairs spanning two shards over the epoch's snapshot
-/// columns (`core::EvaluateCrossPairs`), the cross-pair quality filter
-/// and stamp, and the k-way merge. Two callers drive it:
+/// naive sweep of the pairs spanning two shards, the cross-pair quality
+/// filter and stamp, and the k-way merge. The cross sweep reads the
+/// epoch's snapshot columns through one table indexed by global id and
+/// runs each shard pair's block group(A) × group(B) as register tiles
+/// (`core::EvaluateCrossPairs`); the routing tables' rank table puts each
+/// value at its lex position. MEC's few cross cells read the same table
+/// pair by pair. Two callers drive it:
 ///
 ///  * `RouterMet`/`RouterMer`/`RouterMec`/`RouterTopK` — concurrent
 ///    readers: sequential, each shard answered by its serving snapshot.
@@ -43,14 +47,15 @@
 namespace affinity::shard {
 
 /// The routing tables of one deployment: the partition plus every
-/// sequence pair spanning two shards, (u, v)-lex in global ids. Fixed once
-/// the deployment is created or restored, so one instance is shared by
-/// the ingest router and every published epoch.
+/// sequence pair spanning two shards, (u, v)-lex in global ids, with the
+/// shard-pair block layout the cross sweep runs in. Fixed once the
+/// deployment is created or restored, so one instance is shared by the
+/// ingest router and every published epoch.
 struct RoutingTables {
   SeriesPartitioner partitioner;
-  std::vector<ts::SequencePair> cross;
+  core::CrossLayout cross;
 
-  /// Builds the cross-pair list for `partitioner`.
+  /// Builds the cross pairs and their layout for `partitioner`.
   explicit RoutingTables(SeriesPartitioner partitioner);
 };
 
@@ -92,7 +97,7 @@ struct GatherOptions {
   /// live marginals.
   struct Blend {
     core::ExecutedPlan plan;
-    std::function<double(ts::SequencePair, double, double)> value;
+    core::CrossBlend value;
   };
   std::optional<Blend> blend;
 };

@@ -2,7 +2,8 @@
 // every vector backend must reproduce the scalar reference sums bit for
 // bit — at lengths and anchors straddling the block grid, and on columns
 // engineered to expose reordered rounding (±0.0, denormals, 1e140
-// magnitudes). Also covers the dispatch machinery itself: env-style
+// magnitudes) — and every cell of a dot tile must equal the per-pair
+// BlockedDot. Also covers the dispatch machinery itself: env-style
 // parsing, the programmatic setter, and the prefetch-distance knob
 // (a pure scheduling hint — it must never change bits).
 
@@ -105,6 +106,16 @@ TEST(KernelBackends, CrossBackendBitwiseEquality) {
     for (const std::size_t m : lengths) {
       const std::vector<double> x = MakeColumn(kind, m, 1234 + m);
       const std::vector<double> y = MakeColumn(kind, m, 9876 + m);
+      // The tile's columns: x and y plus distinct ones of the same kind.
+      std::vector<std::vector<double>> extra;
+      for (int j = 0; j < kTileRows + kTileCols - 2; ++j) {
+        extra.push_back(MakeColumn(kind, m, 555 + m + static_cast<std::size_t>(j)));
+      }
+      std::vector<const double*> tile_x = {x.data()};
+      std::vector<const double*> tile_y = {y.data()};
+      for (const std::vector<double>& col : extra) {
+        (static_cast<int>(tile_x.size()) < kTileRows ? tile_x : tile_y).push_back(col.data());
+      }
       for (const std::size_t anchor : anchors) {
         const Reference ref = ScalarReference(x.data(), y.data(), m, anchor);
         for (const Backend b : backends) {
@@ -138,9 +149,68 @@ TEST(KernelBackends, CrossBackendBitwiseEquality) {
             EXPECT_EQ(Bits(gram[c]), Bits(ref.gram[c])) << "FusedGram5 chain " << c;
             EXPECT_EQ(Bits(pm[c]), Bits(ref.pm[c])) << "FusedPairMoments chain " << c;
           }
+          double tile[kTileRows * kTileCols];
+          BlockedDotTile(tile_x.data(), kTileRows, tile_y.data(), kTileCols, m, tile, anchor);
+          for (int a = 0; a < kTileRows; ++a) {
+            for (int c = 0; c < kTileCols; ++c) {
+              EXPECT_EQ(Bits(tile[a * kTileCols + c]),
+                        Bits(scalar::BlockedDot(tile_x[a], tile_y[c], m, anchor)))
+                  << "BlockedDotTile cell " << a << "," << c;
+            }
+          }
         }
       }
     }
+  }
+}
+
+/// Every cell of a 1×1, 1×4, 4×1 and 4×4 tile equals the scalar per-pair
+/// BlockedDot bitwise — on every runnable backend (scalar included) and
+/// in the scalar reference template itself — at lengths and anchors that
+/// put the window wholly in the leading span, split it, or skip it.
+template <int kRows, int kCols>
+void ExpectTileCellsEqualBlockedDot(const std::vector<std::vector<double>>& columns) {
+  const std::size_t m = columns[0].size();
+  const double* x[kRows];
+  const double* y[kCols];
+  for (int a = 0; a < kRows; ++a) x[a] = columns[a].data();
+  for (int c = 0; c < kCols; ++c) y[c] = columns[kTileRows + c].data();
+  for (const std::size_t anchor : {std::size_t{0}, std::size_t{3}, std::size_t{100},
+                                   std::size_t{700}, std::size_t{1021}}) {
+    SCOPED_TRACE(testing::Message() << kRows << "x" << kCols << " m=" << m
+                                    << " anchor=" << anchor);
+    double ref[kRows * kCols];
+    double got[kRows * kCols];
+    scalar::BlockedDotTile<kRows, kCols>(x, y, m, ref, anchor);
+    for (int a = 0; a < kRows; ++a) {
+      for (int c = 0; c < kCols; ++c) {
+        EXPECT_EQ(Bits(ref[a * kCols + c]), Bits(scalar::BlockedDot(x[a], y[c], m, anchor)))
+            << "scalar reference cell " << a << "," << c;
+      }
+    }
+    for (const Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
+      if (!SetBackend(b)) continue;
+      BlockedDotTile(x, kRows, y, kCols, m, got, anchor);
+      for (int i = 0; i < kRows * kCols; ++i) {
+        EXPECT_EQ(Bits(got[i]), Bits(ref[i])) << ActiveBackendName() << " cell " << i;
+      }
+    }
+  }
+}
+
+TEST(KernelBackends, TileCellsEqualBlockedDot) {
+  BackendGuard guard;
+  for (const std::size_t m : {std::size_t{1}, std::size_t{6}, std::size_t{512},
+                              std::size_t{1030}, std::size_t{2048 + 5}}) {
+    std::vector<std::vector<double>> columns;
+    for (int j = 0; j < kTileRows + kTileCols; ++j) {
+      columns.push_back(MakeColumn(j % 2 == 0 ? ColumnKind::kRandom : ColumnKind::kHuge, m,
+                                   77 + static_cast<std::uint64_t>(j)));
+    }
+    ExpectTileCellsEqualBlockedDot<1, 1>(columns);
+    ExpectTileCellsEqualBlockedDot<1, 4>(columns);
+    ExpectTileCellsEqualBlockedDot<4, 1>(columns);
+    ExpectTileCellsEqualBlockedDot<4, 4>(columns);
   }
 }
 

@@ -277,34 +277,73 @@ TEST(QueryMethodNameFn, Names) {
 
 TEST(EvaluateCrossPairsFn, MatchesNaivePairMeasure) {
   ts::DatasetSpec spec;
-  spec.num_series = 6;
+  spec.num_series = 11;
   spec.num_samples = 30;
   spec.num_clusters = 2;
   spec.seed = 5;
   const ts::Dataset ds = ts::MakeSensorData(spec);
+  const std::size_t m = ds.matrix.m();
   // Columns resolved from "different snapshots" (here: the same matrix —
   // the function only sees pointers, exactly like the shard router).
-  std::vector<CrossPair> pairs;
-  for (const ts::SequencePair e : {ts::SequencePair(0, 3), ts::SequencePair(1, 5)}) {
-    pairs.push_back(CrossPair{e, ds.matrix.ColumnData(e.u), ds.matrix.ColumnData(e.v)});
+  CrossColumns columns;
+  columns.m = m;
+  for (std::size_t id = 0; id < ds.matrix.n(); ++id) {
+    columns.by_id.push_back(ds.matrix.ColumnData(static_cast<ts::SeriesId>(id)));
   }
-  for (const Measure m : {Measure::kCovariance, Measure::kDotProduct, Measure::kCorrelation,
-                          Measure::kCosine}) {
-    auto values = EvaluateCrossPairs(m, pairs, ds.matrix.m());
-    ASSERT_TRUE(values.ok());
-    ASSERT_EQ(values->size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) {
-      auto expect = NaivePairMeasure(m, pairs[i].u, pairs[i].v, ds.matrix.m());
+  // Interleaved groups of 5, 4 and 2 (sizes that are not multiples of the
+  // tile, so tails run too): the row member of a block is often the larger
+  // id, as under hash partitioning.
+  const CrossLayout layout = MakeCrossLayout({{1, 4, 6, 9, 10}, {0, 3, 5, 8}, {2, 7}});
+  const std::vector<ts::SequencePair>& lex = layout.pairs;
+  ASSERT_EQ(lex.size(), 5u * 4 + 5 * 2 + 4 * 2);
+  ASSERT_TRUE(std::is_sorted(lex.begin(), lex.end()));
+  const std::vector<ts::SequencePair> picked = {ts::SequencePair(0, 3), ts::SequencePair(1, 5)};
+  for (const Measure measure : {Measure::kCovariance, Measure::kDotProduct,
+                                Measure::kCorrelation, Measure::kCosine}) {
+    SCOPED_TRACE(std::string(MeasureName(measure)));
+    auto swept = EvaluateCrossPairs(measure, columns, layout);
+    ASSERT_TRUE(swept.ok());
+    ASSERT_EQ(swept->size(), lex.size());
+    for (std::size_t i = 0; i < lex.size(); ++i) {
+      auto expect = NaivePairMeasure(measure, columns.by_id[lex[i].u], columns.by_id[lex[i].v], m);
       ASSERT_TRUE(expect.ok());
-      EXPECT_DOUBLE_EQ((*values)[i], *expect);
+      EXPECT_EQ((*swept)[i], *expect) << "pair " << lex[i].u << "," << lex[i].v;
+    }
+    auto listed = EvaluateCrossPairs(measure, columns, picked);
+    ASSERT_TRUE(listed.ok());
+    ASSERT_EQ(listed->size(), 2u);
+    for (std::size_t i = 0; i < picked.size(); ++i) {
+      auto expect =
+          NaivePairMeasure(measure, columns.by_id[picked[i].u], columns.by_id[picked[i].v], m);
+      ASSERT_TRUE(expect.ok());
+      EXPECT_EQ((*listed)[i], *expect);
+    }
+    // The blend hook sees each pair once, with ρ and the value of its one
+    // co-moment set.
+    const CrossBlend blend = [&](ts::SequencePair e, double rho, double value) {
+      auto expect_rho =
+          NaivePairMeasure(Measure::kCorrelation, columns.by_id[e.u], columns.by_id[e.v], m);
+      EXPECT_EQ(rho, *expect_rho);
+      return value + static_cast<double>(e.u * 100 + e.v);
+    };
+    auto blended = EvaluateCrossPairs(measure, columns, layout, {}, &blend);
+    ASSERT_TRUE(blended.ok());
+    for (std::size_t i = 0; i < lex.size(); ++i) {
+      EXPECT_EQ((*blended)[i], (*swept)[i] + static_cast<double>(lex[i].u * 100 + lex[i].v));
     }
   }
   // L-measures are rejected; unresolved columns are rejected.
-  EXPECT_EQ(EvaluateCrossPairs(Measure::kMean, pairs, ds.matrix.m()).status().code(),
+  EXPECT_EQ(EvaluateCrossPairs(Measure::kMean, columns, layout).status().code(),
             StatusCode::kInvalidArgument);
-  pairs[1].v = nullptr;
-  EXPECT_EQ(EvaluateCrossPairs(Measure::kCovariance, pairs, ds.matrix.m()).status().code(),
+  EXPECT_EQ(EvaluateCrossPairs(Measure::kMean, columns, picked).status().code(),
             StatusCode::kInvalidArgument);
+  columns.by_id[5] = nullptr;
+  EXPECT_EQ(EvaluateCrossPairs(Measure::kCovariance, columns, layout).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EvaluateCrossPairs(Measure::kCovariance, columns, picked).status().code(),
+            StatusCode::kInvalidArgument);
+  // A column the pair list never touches may stay unresolved.
+  EXPECT_TRUE(EvaluateCrossPairs(Measure::kCovariance, columns, {ts::SequencePair(0, 3)}).ok());
 }
 
 }  // namespace

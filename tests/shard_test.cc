@@ -430,24 +430,86 @@ TEST(Sharded, TiedTopKMatchesUnshardedBaseline) {
 }
 
 TEST(Sharded, HashPartitionAlsoMatchesBaseline) {
-  const ts::Dataset ds = TestData();
-  core::StreamingOptions base_options = SmallOptions(1).streaming;
-  auto baseline = core::StreamingAffinity::Create(ds.matrix.names(), base_options);
+  // 18 series: hash groups of 6/6/6 at 3 shards and 5/5/4/4 at 4, none all
+  // multiples of the 4-wide dot tile, so the cross sweep runs tile tails;
+  // and the hash order puts the lower id of many a cross pair in the later
+  // shard, so blocks measure pairs whose row member is the pair's v.
+  const ts::Dataset ds = TestData(18);
+  auto baseline = core::StreamingAffinity::Create(ds.matrix.names(), SmallOptions(1).streaming);
   ASSERT_TRUE(baseline.ok());
   FeedStream(&*baseline, ds, 0, 120);
+  ASSERT_TRUE(baseline->ready());
+  // WN everywhere: every value on every side is the same canonical dot
+  // chain over the same window, so answers agree bit for bit.
+  FreshnessOptions naive;
+  naive.method = QueryMethod::kNaive;
 
-  ShardedOptions options = SmallOptions(4);
-  options.partition = PartitionScheme::kHash;
-  auto service = ShardedAffinity::Create(ds.matrix.names(), options);
-  ASSERT_TRUE(service.ok());
-  Feed(&*service, ds, 0, 120);
+  for (const std::size_t shards : {std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedOptions options = SmallOptions(shards);
+    options.partition = PartitionScheme::kHash;
+    auto service = ShardedAffinity::Create(ds.matrix.names(), options);
+    ASSERT_TRUE(service.ok());
+    Feed(&*service, ds, 0, 120);
+    const auto snap = service->serving();
+    ASSERT_NE(snap, nullptr);
+    const SeriesPartitioner& p = snap->routing->partitioner;
+    bool tail = false;
+    for (std::size_t s = 0; s < shards; ++s) tail = tail || p.group(s).size() % 4 != 0;
+    EXPECT_TRUE(tail);
+    bool inverted = false;
+    for (const ts::SequencePair e : snap->routing->cross.pairs) {
+      inverted = inverted || p.shard_of(e.u) > p.shard_of(e.v);
+    }
+    EXPECT_TRUE(inverted);
 
-  const MetRequest met{Measure::kCorrelation, 0.9, true};
-  auto base = baseline->Met(met);
-  auto sharded = service->Met(met);
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(Sorted(sharded->result.pairs), Sorted(base->pairs));
+    for (const Measure measure : {Measure::kCorrelation, Measure::kCovariance, Measure::kCosine,
+                                  Measure::kDotProduct}) {
+      SCOPED_TRACE(std::string(core::MeasureName(measure)));
+      // Top-k over every pair carries every value.
+      const TopKRequest all{measure, std::numeric_limits<std::size_t>::max(), true};
+      auto base = baseline->TopK(all, naive);
+      ASSERT_TRUE(base.ok());
+      ASSERT_EQ(base->entries.size(), 18u * 17 / 2);
+      auto s_topk = service->TopK(all, naive);
+      auto r_topk = RouterTopK(*snap, all, QueryMethod::kNaive);
+      ASSERT_TRUE(s_topk.ok());
+      ASSERT_TRUE(r_topk.ok());
+      const std::pair<const char*, const core::TopKResult*> topks[] = {
+          {"service", &s_topk->result}, {"router", &*r_topk}};
+      for (const auto& [source, got] : topks) {
+        ASSERT_EQ(got->entries.size(), base->entries.size()) << source;
+        for (std::size_t i = 0; i < base->entries.size(); ++i) {
+          EXPECT_EQ(got->entries[i].pair, base->entries[i].pair) << source << " rank " << i;
+          EXPECT_EQ(got->entries[i].value, base->entries[i].value) << source << " rank " << i;
+        }
+      }
+      // MET/MER cut at interior values of the baseline distribution.
+      const std::size_t count = base->entries.size();
+      const double high = base->entries[count / 4].value;
+      const double low = base->entries[3 * count / 4].value;
+      const MetRequest met{measure, low, true};
+      const MerRequest mer{measure, low, high};
+      auto base_met = baseline->Met(met, naive);
+      auto base_mer = baseline->Mer(mer, naive);
+      auto s_met = service->Met(met, naive);
+      auto s_mer = service->Mer(mer, naive);
+      auto r_met = RouterMet(*snap, met, QueryMethod::kNaive);
+      auto r_mer = RouterMer(*snap, mer, QueryMethod::kNaive);
+      ASSERT_TRUE(base_met.ok());
+      ASSERT_TRUE(base_mer.ok());
+      ASSERT_TRUE(s_met.ok());
+      ASSERT_TRUE(s_mer.ok());
+      ASSERT_TRUE(r_met.ok());
+      ASSERT_TRUE(r_mer.ok());
+      ASSERT_GT(base_met->pairs.size(), 0u);
+      ASSERT_GT(base_mer->pairs.size(), 0u);
+      EXPECT_EQ(s_met->result.pairs, Sorted(base_met->pairs));
+      EXPECT_EQ(r_met->pairs, Sorted(base_met->pairs));
+      EXPECT_EQ(s_mer->result.pairs, Sorted(base_mer->pairs));
+      EXPECT_EQ(r_mer->pairs, Sorted(base_mer->pairs));
+    }
+  }
 }
 
 TEST(Sharded, ResultsAreIdenticalAcrossThreadCounts) {
