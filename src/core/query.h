@@ -164,7 +164,8 @@ CrossLayout MakeCrossLayout(std::vector<std::vector<ts::SeriesId>> groups);
 
 /// The freshness blend of a cross pair (DESIGN.md §9): (pair, snapshot
 /// correlation, snapshot value) → blended value. Both inputs come from
-/// the pair's one co-moment set.
+/// the pair's one co-moment set. Called from the sweep's chunks, so it
+/// may run concurrently on `exec`'s pool.
 using CrossBlend = std::function<double(ts::SequencePair, double, double)>;
 
 /// Evaluates `measure` from scratch (WN) for every pair of `layout` over

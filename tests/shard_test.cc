@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -604,6 +605,53 @@ TEST(Sharded, FreshnessReportsAgeAndBlends) {
   ASSERT_TRUE(unblended.ok());
   for (const ShardFreshness& f : unblended->shards) EXPECT_FALSE(f.blended);
   EXPECT_DOUBLE_EQ(unblended->response.pair_values(0, 1), stale->response.pair_values(0, 1));
+}
+
+TEST(Sharded, BlendedCrossPairsComeFromOneSweep) {
+  // Every blended cross value is BlendPairMeasure over the epoch's own
+  // correlation and value of that pair — both from its one co-moment set,
+  // so the blended gather sweeps once — with the sweep chunked on a pool
+  // or run inline alike.
+  const ts::Dataset ds = TestData();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(3, threads));
+    ASSERT_TRUE(service.ok());
+    Feed(&*service, ds, 0, 45);  // snapshot at row 40, aged 5 rows
+    FreshnessOptions bounded;
+    bounded.max_staleness = 2;
+    const auto snap = service->serving();
+    ASSERT_NE(snap, nullptr);
+    const SeriesPartitioner& p = snap->routing->partitioner;
+    const auto values_of = [](const core::TopKResult& r) {
+      std::map<ts::SequencePair, double> out;
+      for (const core::ScapeTopKEntry& e : r.entries) out[e.pair] = e.value;
+      return out;
+    };
+    const std::size_t all = std::numeric_limits<std::size_t>::max();
+    auto rho = RouterTopK(*snap, TopKRequest{Measure::kCorrelation, all, true});
+    ASSERT_TRUE(rho.ok());
+    const auto rho_of = values_of(*rho);
+    for (const Measure measure : {Measure::kCovariance, Measure::kDotProduct, Measure::kCosine}) {
+      SCOPED_TRACE(std::string(core::MeasureName(measure)));
+      const TopKRequest request{measure, all, true};
+      auto epoch = RouterTopK(*snap, request);
+      auto blended = service->TopK(request, bounded);
+      ASSERT_TRUE(epoch.ok());
+      ASSERT_TRUE(blended.ok());
+      const auto value_of = values_of(*epoch);
+      std::size_t checked = 0;
+      for (const core::ScapeTopKEntry& e : blended->result.entries) {
+        if (p.shard_of(e.pair.u) == p.shard_of(e.pair.v)) continue;
+        const auto& su = service->shard(p.shard_of(e.pair.u)).rolling_stats()[p.local_id(e.pair.u)];
+        const auto& sv = service->shard(p.shard_of(e.pair.v)).rolling_stats()[p.local_id(e.pair.v)];
+        EXPECT_EQ(e.value, core::BlendPairMeasure(measure, rho_of.at(e.pair),
+                                                  value_of.at(e.pair), su, sv));
+        ++checked;
+      }
+      EXPECT_EQ(checked, snap->routing->cross.pairs.size());
+    }
+  }
 }
 
 TEST(Streaming, FreshnessBlendOnSingleInstance) {
