@@ -220,12 +220,17 @@ void NeonFusedPairMoments(const double* x, const double* y, std::size_t m, doubl
       });
 }
 
-/// The dot tile stays the scalar reference on NEON: a 4×4 tile of
-/// two-register accumulators would need all 32 vector registers before
-/// any operand, and no aarch64 machine has measured a vector tile yet.
+/// The dot tile runs cell by cell through `NeonBlockedDot`, the same
+/// vector chain a per-pair sweep runs: a 4×4 tile of two-register
+/// accumulators would need all 32 vector registers before any operand, and
+/// no aarch64 machine has measured a vector tile yet.
 void NeonBlockedDotTile(const double* const* x, const double* const* y, std::size_t m,
                         double* out, std::size_t anchor) {
-  scalar::BlockedDotTile<kTileRows, kTileCols>(x, y, m, out, anchor);
+  for (int a = 0; a < kTileRows; ++a) {
+    for (int c = 0; c < kTileCols; ++c) {
+      out[a * kTileCols + c] = NeonBlockedDot(x[a], y[c], m, anchor);
+    }
+  }
 }
 
 constexpr BackendOps kNeonOps = {

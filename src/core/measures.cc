@@ -110,17 +110,10 @@ PairMoments ComputePairMoments(const double* x, const double* y, std::size_t len
 }
 
 StatusOr<double> PairMeasureFromMoments(Measure m, const PairMoments& pm) {
-  switch (m) {
-    case Measure::kCovariance:
-    case Measure::kDotProduct:
-    case Measure::kCorrelation:
-    case Measure::kCosine:
-    case Measure::kJaccard:
-    case Measure::kDice:
-      return PairMeasureValue(m, pm);
-    default:
-      return Status::InvalidArgument(std::string(MeasureName(m)) + " is not a pair measure");
+  if (IsLocation(m)) {
+    return Status::InvalidArgument(std::string(MeasureName(m)) + " is not a pair measure");
   }
+  return PairMeasureValue(m, pm);
 }
 
 double PairMeasureValue(Measure m, const PairMoments& pm) {

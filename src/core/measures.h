@@ -115,8 +115,8 @@ inline PairMoments PairMomentsFromMarginals(const kernels::Marginals& mx,
 StatusOr<double> PairMeasureFromMoments(Measure m, const PairMoments& pm);
 
 /// The same value without the Status, for sweep inner loops that checked
-/// the measure once (`PairMeasureFromMoments` OK on any moments). A non-
-/// pair measure is an internal error (AFFINITY_CHECK).
+/// once that the measure is not an L-measure. An L-measure is an internal
+/// error (AFFINITY_CHECK).
 double PairMeasureValue(Measure m, const PairMoments& pm);
 
 /// T- or D-measure of a pair of series, from scratch: one fused blocked

@@ -93,12 +93,12 @@ CrossLayout MakeCrossLayout(std::vector<std::vector<ts::SeriesId>> groups) {
 
 namespace {
 
-/// Marginals of every non-null column of the table (all-zero elsewhere),
-/// once the measure is known to be a pair measure.
+/// Marginals of every non-null column of the table (all-zero elsewhere);
+/// InvalidArgument for an L-measure, the one check of the sweep.
 StatusOr<std::vector<kernels::Marginals>> CrossMarginals(Measure measure,
                                                          const CrossColumns& columns,
                                                          const ExecContext& exec) {
-  if (!PairMeasureFromMoments(measure, PairMoments{}).ok()) {
+  if (IsLocation(measure)) {
     return Status::InvalidArgument("cross-shard evaluation covers pair measures only");
   }
   return kernels::HoistMarginals(columns.by_id, columns.m, exec, columns.anchor);

@@ -431,6 +431,31 @@ TEST(Sharded, TiedTopKMatchesUnshardedBaseline) {
 }
 
 TEST(Sharded, HashPartitionAlsoMatchesBaseline) {
+  {
+    // The planner's own choice (kAuto): planned in-shard answers merged
+    // with hash-partitioned cross pairs select the baseline's pair set.
+    const ts::Dataset ds = TestData();
+    auto baseline = core::StreamingAffinity::Create(ds.matrix.names(), SmallOptions(1).streaming);
+    ASSERT_TRUE(baseline.ok());
+    FeedStream(&*baseline, ds, 0, 120);
+    ShardedOptions options = SmallOptions(4);
+    options.partition = PartitionScheme::kHash;
+    auto service = ShardedAffinity::Create(ds.matrix.names(), options);
+    ASSERT_TRUE(service.ok());
+    Feed(&*service, ds, 0, 120);
+    const MetRequest met{Measure::kCorrelation, 0.9, true};
+    auto base = baseline->Met(met);
+    auto sharded = service->Met(met);
+    ASSERT_NE(service->serving(), nullptr);
+    auto routed = RouterMet(*service->serving(), met);
+    ASSERT_TRUE(base.ok());
+    ASSERT_TRUE(sharded.ok());
+    ASSERT_TRUE(routed.ok());
+    ASSERT_GT(base->pairs.size(), 0u);
+    EXPECT_EQ(Sorted(sharded->result.pairs), Sorted(base->pairs));
+    EXPECT_EQ(Sorted(routed->pairs), Sorted(base->pairs));
+  }
+
   // 18 series: hash groups of 6/6/6 at 3 shards and 5/5/4/4 at 4, none all
   // multiples of the 4-wide dot tile, so the cross sweep runs tile tails;
   // and the hash order puts the lower id of many a cross pair in the later
